@@ -19,15 +19,13 @@
 //! stored in the entry (`check_digest`), so two entries from the same
 //! code are identical modulo the timing fields. One run entry is
 //! **appended** to the trajectory file so successive revisions
-//! accumulate (same pattern as `perf_snapshot`).
+//! accumulate.
 //!
 //! Run keys come from the environment, never from a wall clock inside
 //! the measurement:
 //!
 //! * `SILVASEC_GIT_SHA` — revision identifier (default `unknown`);
 //! * `SILVASEC_RUN_TS` — timestamp string (default `unspecified`);
-//! * `SILVASEC_CRYPTO_OUT` — output path (default `BENCH_crypto.json`
-//!   at the workspace root).
 //!
 //! Run with: `cargo run --release -p silvasec-bench --bin crypto_bench`
 //! (pass `--smoke` for a CI-sized run: reduced iterations, correctness
@@ -39,7 +37,7 @@ use silvasec::crypto::edwards::EdwardsPoint;
 use silvasec::crypto::scalar::Scalar;
 use silvasec::crypto::schnorr::{self, BatchItem, Signature, SigningKey, VerifyingKey};
 use silvasec::crypto::{chacha20, sha256};
-use silvasec_bench::{append_trajectory_run, run_keys, trajectory_out_path};
+use silvasec_bench::{append_trajectory_run, run_keys};
 use std::time::Instant;
 
 const BATCH_SIZE: usize = 16;
@@ -362,6 +360,5 @@ fn main() {
         entry.scalar_mul_basepoint_speedup
     );
 
-    let out_path = trajectory_out_path("SILVASEC_CRYPTO_OUT", "BENCH_crypto.json");
-    append_trajectory_run(&out_path, "silvasec-crypto-trajectory/1", None, &entry);
+    append_trajectory_run("BENCH_crypto.json", "silvasec-crypto-trajectory/1", &entry);
 }

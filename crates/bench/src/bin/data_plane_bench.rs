@@ -39,8 +39,6 @@
 //!
 //! * `SILVASEC_GIT_SHA` — revision identifier (default `unknown`);
 //! * `SILVASEC_RUN_TS` — timestamp string (default `unspecified`);
-//! * `SILVASEC_DATA_PLANE_OUT` — output path (default
-//!   `BENCH_data_plane.json` at the workspace root).
 //!
 //! Run with: `cargo run --release -p silvasec-bench --bin
 //! data_plane_bench` (pass `--smoke` for a CI-sized run: reduced
@@ -48,43 +46,15 @@
 //! speedup floors, no trajectory append).
 
 use serde::Serialize;
-use silvasec_bench::{append_trajectory_run, run_keys, session_pair, trajectory_out_path};
+use silvasec_bench::alloc::{acquisitions, TrackingAllocator};
+use silvasec_bench::{append_trajectory_run, run_keys, session_pair};
 use silvasec_crypto::aead::ChaCha20Poly1305;
 use silvasec_crypto::chacha20::ChaCha20;
 use silvasec_crypto::sha256;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// System allocator wrapped with an allocation counter, so the
-/// steady-state zero-allocation contract of `Session::seal_into` is
-/// asserted by observation rather than by code review. Only
-/// allocations are counted (`dealloc` is pass-through): the contract
-/// is about acquiring memory in the hot loop.
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers entirely to `System`; the counter is a relaxed atomic
-// with no effect on allocation behaviour.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
+static ALLOCATOR: TrackingAllocator = TrackingAllocator;
 
 /// Bulk buffer size for the keystream / AEAD / hash measurements. Large
 /// enough that the 512-byte wide chunks dominate and per-call setup is
@@ -309,11 +279,11 @@ fn measure_seal_allocs() -> f64 {
     rx.open_into(&record, &mut opened).expect("warm-up open");
     assert_eq!(opened, pt);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = acquisitions();
     for _ in 0..RECORDS {
         tx.seal_into(&pt, &mut record).expect("steady-state seal");
     }
-    let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let delta = acquisitions() - before;
     delta as f64 / RECORDS as f64
 }
 
@@ -447,6 +417,9 @@ fn main() {
         entry.aead_seal_speedup
     );
 
-    let out_path = trajectory_out_path("SILVASEC_DATA_PLANE_OUT", "BENCH_data_plane.json");
-    append_trajectory_run(&out_path, "silvasec-data-plane-trajectory/1", None, &entry);
+    append_trajectory_run(
+        "BENCH_data_plane.json",
+        "silvasec-data-plane-trajectory/1",
+        &entry,
+    );
 }

@@ -20,15 +20,13 @@
 //! largest fleet twice from the same seed and comparing the security
 //! traces byte for byte. One run entry is **appended** to
 //! `BENCH_exp10_fleet.json` so successive revisions accumulate into a
-//! trajectory (same pattern as `perf_snapshot`).
+//! trajectory.
 //!
 //! Run keys come from the environment, never from a wall clock inside
 //! the simulation:
 //!
 //! * `SILVASEC_GIT_SHA` — revision identifier (default `unknown`);
 //! * `SILVASEC_RUN_TS` — timestamp string (default `unspecified`);
-//! * `SILVASEC_FLEET_OUT` — output path (default
-//!   `BENCH_exp10_fleet.json` at the workspace root).
 //!
 //! Run with: `cargo run --release -p silvasec-bench --bin exp10_fleet`
 //! (pass `--sites-max 4` for a CI-sized smoke run, `--seed N` to vary
@@ -38,7 +36,7 @@ use serde::Serialize;
 use silvasec::experiments::{run_fleet_rollout, FleetScenario};
 use silvasec::fleet::RolloutReport;
 use silvasec::sweep::{par_sweep_with_stats, worker_count};
-use silvasec_bench::{append_trajectory_run, run_keys, trajectory_out_path};
+use silvasec_bench::{append_trajectory_run, run_keys};
 
 const FLEET_SIZES: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 const DEFAULT_SEED: u64 = 11;
@@ -318,6 +316,9 @@ fn main() {
     );
     println!("deterministic: same-seed traces at {max_sites} sites byte-identical");
 
-    let out_path = trajectory_out_path("SILVASEC_FLEET_OUT", "BENCH_exp10_fleet.json");
-    append_trajectory_run(&out_path, "silvasec-fleet-trajectory/1", None, &entry);
+    append_trajectory_run(
+        "BENCH_exp10_fleet.json",
+        "silvasec-fleet-trajectory/1",
+        &entry,
+    );
 }

@@ -27,8 +27,6 @@
 //!
 //! * `SILVASEC_GIT_SHA` — revision identifier (default `unknown`);
 //! * `SILVASEC_RUN_TS` — timestamp string (default `unspecified`);
-//! * `SILVASEC_TARA_OUT` — output path (default `BENCH_tara.json` at
-//!   the workspace root).
 //!
 //! Run with: `cargo run --release -p silvasec-bench --bin exp11_tara`
 //! (pass `--smoke` for a CI-sized run: 10²/10³-scenario points,
@@ -39,7 +37,7 @@ use silvasec::experiments::{run_tara_hypotheses, tara_ranking};
 use silvasec::risk::catalog::worksite_model;
 use silvasec::risk::tara::Tara;
 use silvasec::tara::{HypothesisSet, ScenarioSpace, TaraCatalog};
-use silvasec_bench::{append_trajectory_run, run_keys, trajectory_out_path};
+use silvasec_bench::{append_trajectory_run, run_keys};
 use std::time::Instant;
 
 const TARGETS: [u64; 5] = [100, 1_000, 10_000, 100_000, 1_000_000];
@@ -283,6 +281,5 @@ fn main() {
         return;
     }
 
-    let out_path = trajectory_out_path("SILVASEC_TARA_OUT", "BENCH_tara.json");
-    append_trajectory_run(&out_path, "silvasec-tara-trajectory/1", None, &entry);
+    append_trajectory_run("BENCH_tara.json", "silvasec-tara-trajectory/1", &entry);
 }

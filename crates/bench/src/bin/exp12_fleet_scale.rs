@@ -21,7 +21,7 @@
 //!   hashes to the SHA-256 recorded before the two-fidelity refactor.
 //!
 //! Each scale point is measured for throughput (sites/s wall) and peak
-//! heap per site (a tracking allocator wraps `System`), and the largest
+//! heap per site (the shared tracking allocator), and the largest
 //! point must stay under a bytes/site ceiling — the memory claim is
 //! asserted in-binary, not eyeballed. One entry is **appended** to
 //! `BENCH_fleet_scale.json` (`silvasec-fleet-scale-trajectory/1`).
@@ -31,8 +31,6 @@
 //!
 //! * `SILVASEC_GIT_SHA` — revision identifier (default `unknown`);
 //! * `SILVASEC_RUN_TS` — timestamp string (default `unspecified`);
-//! * `SILVASEC_FLEET_SCALE_OUT` — output path (default
-//!   `BENCH_fleet_scale.json` at the workspace root).
 //!
 //! Run with:
 //! `cargo run --release -p silvasec-bench --bin exp12_fleet_scale`
@@ -48,9 +46,8 @@ use silvasec::experiments::{
     run_fleet_scale_scenario, FleetScenario,
 };
 use silvasec::fleet::ShadowConfig;
-use silvasec_bench::{append_trajectory_run, run_keys, trajectory_out_path};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use silvasec_bench::alloc::{peak_baseline, peak_since, TrackingAllocator};
+use silvasec_bench::{append_trajectory_run, run_keys};
 
 /// SHA-256 of the 64-site seed-11 clean fleet trace captured on the
 /// shadowless code path before the two-fidelity refactor. The refactor
@@ -74,62 +71,8 @@ const SCALE_SIZES: [usize; 5] = [64, 1_024, 16_384, 131_072, 1_048_576];
 const SMOKE_MAX_SITES: usize = 16_384;
 const DEFAULT_SEED: u64 = 11;
 
-// --- Peak-tracking allocator -----------------------------------------
-// Wraps `System` with a current/peak byte count so the bounded-memory
-// claim is measured, not inferred from self-reported struct sizes.
-
-struct PeakAlloc;
-
-static CURRENT: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for PeakAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc(layout);
-        if !ptr.is_null() {
-            let now = CURRENT.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-            PEAK.fetch_max(now, Ordering::Relaxed);
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        CURRENT.fetch_sub(layout.size(), Ordering::Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let ptr = System.realloc(ptr, layout, new_size);
-        if !ptr.is_null() {
-            if new_size >= layout.size() {
-                let grow = new_size - layout.size();
-                let now = CURRENT.fetch_add(grow, Ordering::Relaxed) + grow;
-                PEAK.fetch_max(now, Ordering::Relaxed);
-            } else {
-                CURRENT.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
-            }
-        }
-        ptr
-    }
-}
-
 #[global_allocator]
-static ALLOC: PeakAlloc = PeakAlloc;
-
-/// Resets the peak to the current live byte count and returns that
-/// baseline, so a following [`peak_since`] measures one region.
-fn peak_baseline() -> usize {
-    let now = CURRENT.load(Ordering::Relaxed);
-    PEAK.store(now, Ordering::Relaxed);
-    now
-}
-
-/// Peak bytes allocated above `baseline` since [`peak_baseline`].
-fn peak_since(baseline: usize) -> usize {
-    PEAK.load(Ordering::Relaxed).saturating_sub(baseline)
-}
-
-// ---------------------------------------------------------------------
+static ALLOCATOR: TrackingAllocator = TrackingAllocator;
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -426,6 +369,9 @@ fn main() {
     println!("tamper parity: 4096/4096 rejected through the batched verify");
     println!("determinism: parallel == sequential == same-seed twin, legacy trace pinned");
 
-    let out_path = trajectory_out_path("SILVASEC_FLEET_SCALE_OUT", "BENCH_fleet_scale.json");
-    append_trajectory_run(&out_path, "silvasec-fleet-scale-trajectory/1", None, &entry);
+    append_trajectory_run(
+        "BENCH_fleet_scale.json",
+        "silvasec-fleet-scale-trajectory/1",
+        &entry,
+    );
 }

@@ -22,8 +22,6 @@
 //!
 //! * `SILVASEC_GIT_SHA` — revision identifier (default `unknown`);
 //! * `SILVASEC_RUN_TS` — timestamp string (default `unspecified`);
-//! * `SILVASEC_OPS_OUT` — output path (default `BENCH_ops.json` at the
-//!   workspace root).
 //!
 //! Run with: `cargo run --release -p silvasec-bench --bin exp13_ops`
 //! (pass `--smoke` for a CI-sized run: 10/100-incident points,
@@ -32,7 +30,7 @@
 use serde::Serialize;
 use silvasec::experiments::run_ops_load;
 use silvasec::ops::RunStore;
-use silvasec_bench::{append_trajectory_run, run_keys, trajectory_out_path};
+use silvasec_bench::{append_trajectory_run, run_keys};
 use std::time::Instant;
 
 const SIZES: [usize; 4] = [10, 100, 1_000, 10_000];
@@ -220,6 +218,5 @@ fn main() {
         return;
     }
 
-    let out_path = trajectory_out_path("SILVASEC_OPS_OUT", "BENCH_ops.json");
-    append_trajectory_run(&out_path, "silvasec-ops-trajectory/1", None, &entry);
+    append_trajectory_run("BENCH_ops.json", "silvasec-ops-trajectory/1", &entry);
 }

@@ -14,7 +14,7 @@
 //!   worker counts with the single-worksite sequential loop;
 //! * **Zero steady-state allocation** — after a one-episode warmup, the
 //!   per-episode reset window (`reset_for_episode` + campaign arming)
-//!   performs **no** heap allocation, asserted by a counting global
+//!   performs **no** heap allocation, asserted by the shared tracking
 //!   allocator rather than by code review.
 //!
 //! Episodes use a deliberately small worksite and a short horizon so
@@ -27,8 +27,6 @@
 //!
 //! * `SILVASEC_GIT_SHA` — revision identifier (default `unknown`);
 //! * `SILVASEC_RUN_TS` — timestamp string (default `unspecified`);
-//! * `SILVASEC_EPISODES_OUT` — output path (default
-//!   `BENCH_episodes.json` at the workspace root).
 //!
 //! Run with: `cargo run --release -p silvasec-bench --bin
 //! exp14_episodes` (pass `--smoke` for a CI-sized run: 10/100-episode
@@ -40,43 +38,12 @@ use silvasec::experiments::{
 };
 use silvasec::prelude::*;
 use silvasec_attacks::AttackKind;
-use silvasec_bench::{append_trajectory_run, run_keys, trajectory_out_path};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use silvasec_bench::alloc::{acquisitions, TrackingAllocator};
+use silvasec_bench::{append_trajectory_run, run_keys};
 use std::time::Instant;
 
-/// System allocator wrapped with an allocation counter, so the
-/// zero-allocation episode-reset contract is asserted by observation.
-/// Only acquisitions are counted (`dealloc` is pass-through): the
-/// contract is about *acquiring* memory in the steady-state loop.
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers entirely to `System`; the counter is a relaxed atomic
-// with no effect on allocation behaviour.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
+static ALLOCATOR: TrackingAllocator = TrackingAllocator;
 
 /// Episode batch sizes (log sweep, 10^1 → 10^4).
 const SIZES: [usize; 4] = [10, 100, 1_000, 10_000];
@@ -189,10 +156,10 @@ fn measure_reset_window(batch: &[EpisodeSpec]) -> u64 {
 
     let mut allocs_total = 0u64;
     for spec in batch.iter().skip(warmup) {
-        let before = allocations();
+        let before = acquisitions();
         site.reset_for_episode(&spec.config, spec.seed);
         spec.arm(site);
-        allocs_total += allocations() - before;
+        allocs_total += acquisitions() - before;
         site.run(spec.duration);
     }
     allocs_total
@@ -295,6 +262,9 @@ fn main() {
         episode_secs: EPISODE_SECS,
         rows,
     };
-    let out_path = trajectory_out_path("SILVASEC_EPISODES_OUT", "BENCH_episodes.json");
-    append_trajectory_run(&out_path, "silvasec-episode-trajectory/1", None, &entry);
+    append_trajectory_run(
+        "BENCH_episodes.json",
+        "silvasec-episode-trajectory/1",
+        &entry,
+    );
 }

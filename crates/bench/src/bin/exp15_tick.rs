@@ -13,7 +13,7 @@
 //!   scenarios (quiet, jamming, replay);
 //! * **Zero steady-state allocation** — after a warmup that sizes every
 //!   ring, table and scratch buffer, a window of quiet secure ticks
-//!   performs **no** heap allocation, asserted by a counting global
+//!   performs **no** heap allocation, asserted by the shared tracking
 //!   allocator rather than by code review;
 //! * **Speedup floor** — the optimized full run must simulate at least
 //!   2.5× as many worksite-seconds per wall-second as the reference
@@ -25,8 +25,6 @@
 //! * `SILVASEC_GIT_SHA` — revision identifier (falls back to
 //!   `git rev-parse HEAD`, then `unknown`);
 //! * `SILVASEC_RUN_TS` — timestamp string (default `unspecified`);
-//! * `SILVASEC_TICK_OUT` — output path (default `BENCH_tick.json` at
-//!   the workspace root).
 //!
 //! Run with: `cargo run --release -p silvasec-bench --bin exp15_tick`
 //! (pass `--smoke` for a CI-sized run: short rounds, contracts
@@ -35,43 +33,12 @@
 use serde::Serialize;
 use silvasec::experiments::standard_config;
 use silvasec::prelude::*;
-use silvasec_bench::{append_trajectory_run, median, run_keys, trajectory_out_path};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use silvasec_bench::alloc::{acquisitions, TrackingAllocator};
+use silvasec_bench::{append_trajectory_run, median, run_keys};
 use std::time::Instant;
 
-/// System allocator wrapped with an allocation counter, so the
-/// zero-allocation steady-tick contract is asserted by observation.
-/// Only acquisitions are counted (`dealloc` is pass-through): the
-/// contract is about *acquiring* memory in the steady-state loop.
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers entirely to `System`; the counter is a relaxed atomic
-// with no effect on allocation behaviour.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
+static ALLOCATOR: TrackingAllocator = TrackingAllocator;
 
 /// Seed shared by every scenario in the run.
 const SEED: u64 = 7;
@@ -162,11 +129,11 @@ fn measure_steady_allocs(warm_secs: u64, window_ticks: u64) -> (u64, u64) {
     let config = standard_config(SecurityPosture::secure());
     let mut site = Worksite::new(&config, SEED);
     site.run(SimDuration::from_secs(warm_secs));
-    let before = allocations();
+    let before = acquisitions();
     for _ in 0..window_ticks {
         site.tick();
     }
-    (window_ticks, allocations() - before)
+    (window_ticks, acquisitions() - before)
 }
 
 #[derive(Debug, Serialize)]
@@ -284,6 +251,5 @@ fn main() {
         steady_tick_allocs,
         speedup_floor: SPEEDUP_FLOOR,
     };
-    let out_path = trajectory_out_path("SILVASEC_TICK_OUT", "BENCH_tick.json");
-    append_trajectory_run(&out_path, "silvasec-tick-trajectory/1", None, &entry);
+    append_trajectory_run("BENCH_tick.json", "silvasec-tick-trajectory/1", &entry);
 }

@@ -1,6 +1,7 @@
 //! **E6** — secure-channel overhead on safety traffic, in wall-clock and
-//! in on-air bytes (the criterion benches measure the primitives; this
-//! binary reports the end-to-end numbers a safety engineer asks about).
+//! in on-air bytes (`crypto_bench` and `data_plane_bench` time the
+//! primitives; this binary reports the end-to-end numbers a safety
+//! engineer asks about).
 //!
 //! Run with: `cargo run --release -p silvasec-bench --bin exp6_overhead`
 

@@ -1,11 +1,12 @@
-//! Shared helpers for the benchmark harness.
-//!
-//! The table/figure regeneration binaries live in `src/bin/`; the
-//! Criterion micro/mesobenchmarks in `benches/`. Each binary prints the
-//! rows of one table or the series of one figure from `EXPERIMENTS.md`.
+//! Shared helpers for the table/figure regeneration binaries in
+//! `src/bin/`. Each binary prints the rows of one table or the series of
+//! one figure from `EXPERIMENTS.md`.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
+
+#[allow(unsafe_code)]
+pub mod alloc;
 
 use serde::{Serialize, Value};
 use silvasec::experiments::standard_config;
@@ -36,7 +37,7 @@ pub fn run_keys() -> (String, String) {
 fn git_head_sha() -> Option<String> {
     let out = std::process::Command::new("git")
         .args(["rev-parse", "HEAD"])
-        .current_dir(Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."))
+        .current_dir(workspace_root())
         .output()
         .ok()?;
     if !out.status.success() {
@@ -46,28 +47,14 @@ fn git_head_sha() -> Option<String> {
     (sha.len() == 40 && sha.bytes().all(|b| b.is_ascii_hexdigit())).then_some(sha)
 }
 
-/// Resolves the trajectory output path for one bench binary: the
-/// binary's env override when set, else `default_file` at the
-/// workspace root.
-#[must_use]
-pub fn trajectory_out_path(env_override: &str, default_file: &str) -> PathBuf {
-    std::env::var(env_override).map_or_else(
-        |_| {
-            Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join(default_file)
-        },
-        PathBuf::from,
-    )
+fn workspace_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 /// Loads the `runs` array of an existing trajectory file. Missing files
 /// start a fresh trajectory; unparseable ones are reported and start
-/// fresh too. When `legacy_schema` is given, a file holding a single
-/// object of that pre-trajectory schema is migrated in place as the
-/// first run.
-#[must_use]
-pub fn existing_trajectory_runs(path: &Path, legacy_schema: Option<&str>) -> Vec<Value> {
+/// fresh too.
+fn existing_trajectory_runs(path: &Path) -> Vec<Value> {
     let Ok(text) = std::fs::read_to_string(path) else {
         return Vec::new();
     };
@@ -78,29 +65,19 @@ pub fn existing_trajectory_runs(path: &Path, legacy_schema: Option<&str>) -> Vec
         );
         return Vec::new();
     };
-    if let Some(runs) = value.get_field("runs").as_array() {
-        return runs.to_vec();
-    }
-    if let (Some(legacy), Value::String(schema)) = (legacy_schema, value.get_field("schema")) {
-        if schema == legacy {
-            return vec![value];
-        }
-    }
-    Vec::new()
+    value
+        .get_field("runs")
+        .as_array()
+        .map_or_else(Vec::new, <[Value]>::to_vec)
 }
 
-/// Appends one run entry to the trajectory file at `path` under the
-/// given trajectory `schema`, migrating a `legacy_schema` single-object
-/// file if present, and returns the resulting run count. Every
-/// `BENCH_*.json` writer goes through here so the trajectory format
-/// stays uniform across binaries.
-pub fn append_trajectory_run<T: Serialize>(
-    path: &Path,
-    schema: &str,
-    legacy_schema: Option<&str>,
-    entry: &T,
-) -> usize {
-    let mut runs = existing_trajectory_runs(path, legacy_schema);
+/// Appends one run entry to the trajectory `file` (a `BENCH_*.json` at
+/// the workspace root) under the given trajectory `schema` and returns
+/// the resulting run count. Every `BENCH_*.json` writer goes through
+/// here so the trajectory format stays uniform across binaries.
+pub fn append_trajectory_run<T: Serialize>(file: &str, schema: &str, entry: &T) -> usize {
+    let path = workspace_root().join(file);
+    let mut runs = existing_trajectory_runs(&path);
     runs.push(entry.serialize());
     let run_count = runs.len();
     let trajectory = Value::Object(vec![
@@ -108,7 +85,7 @@ pub fn append_trajectory_run<T: Serialize>(
         ("runs".to_string(), Value::Array(runs)),
     ]);
     let text = serde_json::to_string_pretty(&trajectory).expect("trajectory serializes");
-    std::fs::write(path, text).expect("write trajectory file");
+    std::fs::write(&path, text).expect("write trajectory file");
     eprintln!("appended run ({run_count} total) to {}", path.display());
     run_count
 }
@@ -154,12 +131,6 @@ pub fn session_pair(seed: u8) -> (Session, Session) {
     let (sa, finished) = init.finish(&policy, &reply).expect("finish");
     let sb = resp.complete(&finished).expect("complete");
     (sa, sb)
-}
-
-/// Formats a fraction as a percentage string.
-#[must_use]
-pub fn pct(x: f64) -> String {
-    format!("{:.1}%", x * 100.0)
 }
 
 /// Returns the median of a sample (mean of the middle two for even
@@ -270,18 +241,55 @@ pub fn measure_recorder_overhead(seed: u64, sim_secs: u64, rounds: u32) -> Recor
 }
 
 #[cfg(test)]
+#[global_allocator]
+static ALLOCATOR: alloc::TrackingAllocator = alloc::TrackingAllocator;
+
+#[cfg(test)]
 mod tests {
+    use super::alloc::{acquisitions, peak_baseline, peak_since};
     use super::*;
+    use std::hint::black_box;
+
+    /// Retries `window` until one run is free of other test threads'
+    /// heap traffic: concurrent allocations can only add acquisitions
+    /// and concurrent frees only lower the peak, so a quiet window is
+    /// the exact measurement.
+    fn quiet_window(window: impl Fn() -> bool) -> bool {
+        (0..64).any(|_| window())
+    }
+
+    #[test]
+    fn one_vec_is_one_acquisition_and_raises_the_peak() {
+        const N: usize = 1 << 20;
+        assert!(quiet_window(|| {
+            let before = acquisitions();
+            let baseline = peak_baseline();
+            let v = black_box(Vec::<u8>::with_capacity(N));
+            let grew = peak_since(baseline);
+            let acquired = acquisitions() - before;
+            drop(v);
+            assert!(acquired >= 1, "Vec::with_capacity acquired nothing");
+            acquired == 1 && grew >= N
+        }));
+    }
+
+    #[test]
+    fn peak_baseline_and_since_measure_one_region() {
+        const N: usize = 64 * 1024;
+        assert!(quiet_window(|| {
+            let baseline = peak_baseline();
+            drop(black_box(Vec::<u8>::with_capacity(N)));
+            let region = peak_since(baseline);
+            // The buffer is freed: a new region starts below it.
+            let next = peak_since(peak_baseline());
+            region >= N && next < N
+        }));
+    }
 
     #[test]
     fn session_pair_works() {
         let (mut a, mut b) = session_pair(1);
         let rec = a.seal(b"x").unwrap();
         assert_eq!(b.open(&rec).unwrap(), b"x");
-    }
-
-    #[test]
-    fn pct_format() {
-        assert_eq!(pct(0.1234), "12.3%");
     }
 }

@@ -316,29 +316,22 @@ pub fn detections_to_json(detections: &[Detection], out: &mut Vec<u8>) {
 }
 
 /// Parses a detection feed into `out` (cleared first); returns whether a
-/// feed was decoded, matching `serde_json::from_slice::<Vec<Detection>>`
-/// exactly in both acceptance and values.
+/// feed was decoded.
 ///
-/// The fast path is a strict scanner for the canonical grammar
-/// [`detections_to_json`] emits and allocates nothing; any deviation
-/// (whitespace, reordered keys, escapes — e.g. a forged payload) falls
-/// back to the full `serde_json` parser, so hostile input behaves
-/// exactly as it always did. Number equivalence: the fallback parses an
-/// integral token as `u64` and widens with `as f64`, which rounds to the
-/// same value `str::parse::<f64>` produces for the same token.
+/// The decoder is a strict scanner for exactly the canonical grammar
+/// [`detections_to_json`] emits, and allocates nothing. It fails closed:
+/// any deviation (whitespace, reordered or missing keys, escapes, `null`
+/// numbers — e.g. a forged payload) rejects the whole feed, and so does
+/// a detection outside its domain: a non-finite coordinate, a
+/// `confidence` outside [0, 1], or a negative or non-finite
+/// `distance_m`. A rejected feed leaves `out` empty.
 pub fn detections_from_json(bytes: &[u8], out: &mut Vec<Detection>) -> bool {
     out.clear();
-    if parse_feed_fast(bytes, out) {
+    if parse_feed(bytes, out) {
         return true;
     }
     out.clear();
-    match serde_json::from_slice::<Vec<Detection>>(bytes) {
-        Ok(v) => {
-            out.extend_from_slice(&v);
-            true
-        }
-        Err(_) => false,
-    }
+    false
 }
 
 fn eat(bytes: &[u8], p: &mut usize, tok: &[u8]) -> bool {
@@ -361,8 +354,8 @@ fn scan_u32(bytes: &[u8], p: &mut usize) -> Option<u32> {
     std::str::from_utf8(&bytes[start..*p]).ok()?.parse().ok()
 }
 
-/// Scans one JSON number token (the same token boundary the fallback
-/// parser uses) and parses it as `f64`.
+/// Scans one JSON number token and parses it as `f64` (an out-of-range
+/// exponent parses to an infinity, which the domain check rejects).
 fn scan_f64(bytes: &[u8], p: &mut usize) -> Option<f64> {
     let start = *p;
     if *p < bytes.len() && bytes[*p] == b'-' {
@@ -392,7 +385,7 @@ fn scan_f64(bytes: &[u8], p: &mut usize) -> Option<f64> {
     std::str::from_utf8(&bytes[start..*p]).ok()?.parse().ok()
 }
 
-fn parse_feed_fast(bytes: &[u8], out: &mut Vec<Detection>) -> bool {
+fn parse_feed(bytes: &[u8], out: &mut Vec<Detection>) -> bool {
     let mut p = 0usize;
     if !eat(bytes, &mut p, b"[") {
         return false;
@@ -432,6 +425,14 @@ fn parse_feed_fast(bytes: &[u8], out: &mut Vec<Detection>) -> bool {
             return false;
         };
         if !eat(bytes, &mut p, b"}") {
+            return false;
+        }
+        let in_domain = x.is_finite()
+            && y.is_finite()
+            && (0.0..=1.0).contains(&confidence)
+            && distance_m >= 0.0
+            && distance_m.is_finite();
+        if !in_domain {
             return false;
         }
         out.push(Detection {
@@ -650,33 +651,39 @@ mod tests {
     }
 
     #[test]
-    fn feed_parser_fallback_agrees_with_serde_on_hostile_input() {
-        let mut parsed = Vec::new();
+    fn feed_parser_rejects_hostile_input() {
+        let mut parsed = vec![Detection {
+            human_id: HumanId(9),
+            position: Vec2::new(0.0, 0.0),
+            confidence: 1.0,
+            distance_m: 1.0,
+        }];
         let cases: &[&[u8]] = &[
             b"",
             b"not json",
             b"[",
             b"[{\"human_id\":1}]",
             b"{\"human_id\":1}",
-            // Whitespace and reordered keys: serde accepts, fast path
-            // cannot — the fallback must still decode them.
+            // Whitespace and reordered keys: valid JSON, not the
+            // canonical feed.
             b"[ {\"position\":{\"x\":1.0,\"y\":2.0},\"human_id\":4,\"confidence\":0.5,\"distance_m\":3.0} ]",
             // Float where an integer id is expected.
             b"[{\"human_id\":1.5,\"position\":{\"x\":0,\"y\":0},\"confidence\":0,\"distance_m\":0}]",
+            // Canonical layout, values outside the detection domain.
+            b"[{\"human_id\":1,\"position\":{\"x\":null,\"y\":0},\"confidence\":0,\"distance_m\":0}]",
+            b"[{\"human_id\":1,\"position\":{\"x\":0,\"y\":1e999},\"confidence\":0,\"distance_m\":0}]",
+            b"[{\"human_id\":1,\"position\":{\"x\":0,\"y\":0},\"confidence\":1.5,\"distance_m\":0}]",
+            b"[{\"human_id\":1,\"position\":{\"x\":0,\"y\":0},\"confidence\":-0.1,\"distance_m\":0}]",
+            b"[{\"human_id\":1,\"position\":{\"x\":0,\"y\":0},\"confidence\":0,\"distance_m\":-2}]",
+            b"[{\"human_id\":1,\"position\":{\"x\":0,\"y\":0},\"confidence\":0,\"distance_m\":1e400}]",
         ];
         for &bytes in cases {
-            let ok = detections_from_json(bytes, &mut parsed);
-            let oracle = serde_json::from_slice::<Vec<Detection>>(bytes);
-            assert_eq!(ok, oracle.is_ok(), "acceptance diverged for {bytes:?}");
-            if let Ok(o) = oracle {
-                // Compare re-serialized bytes: missing fields decode to
-                // NaN, which is unequal to itself under `PartialEq`.
-                assert_eq!(
-                    serde_json::to_vec(&parsed).unwrap(),
-                    serde_json::to_vec(&o).unwrap(),
-                    "values diverged for {bytes:?}"
-                );
-            }
+            assert!(
+                !detections_from_json(bytes, &mut parsed),
+                "accepted hostile feed {:?}",
+                String::from_utf8_lossy(bytes)
+            );
+            assert!(parsed.is_empty(), "rejected feed left detections behind");
         }
     }
 

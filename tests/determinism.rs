@@ -1,7 +1,9 @@
 //! The architectural invariant of the whole simulator: identical seeds
 //! give identical traces, across every subsystem and their composition.
 
-use silvasec::experiments::{occlusion_point, run_worksite, standard_config};
+use silvasec::experiments::{
+    occlusion_point, occlusion_sweep, run_worksite, standard_config, OcclusionRow,
+};
 use silvasec::prelude::*;
 
 #[test]
@@ -56,6 +58,50 @@ fn experiment_rows_are_reproducible() {
         b.forwarder_coverage.to_bits()
     );
     assert_eq!(a.combined_coverage.to_bits(), b.combined_coverage.to_bits());
+}
+
+#[test]
+fn parallel_occlusion_sweep_matches_sequential_rows() {
+    let densities = [0.0, 300.0, 900.0];
+    let seeds = [5u64, 17];
+    let duration = SimDuration::from_secs(60);
+    // The nested map `occlusion_sweep` replaced, fold order included.
+    let sequential: Vec<OcclusionRow> = densities
+        .iter()
+        .map(|&density| {
+            let rows: Vec<OcclusionRow> = seeds
+                .iter()
+                .map(|&s| occlusion_point(density, 15.0, s, duration))
+                .collect();
+            let n = rows.len() as f64;
+            let mean = |f: fn(&OcclusionRow) -> f64| rows.iter().map(f).sum::<f64>() / n;
+            OcclusionRow {
+                density,
+                relief_m: 15.0,
+                forwarder_coverage: mean(|r| r.forwarder_coverage),
+                combined_coverage: mean(|r| r.combined_coverage),
+                forwarder_ttd_s: mean(|r| r.forwarder_ttd_s),
+                combined_ttd_s: mean(|r| r.combined_ttd_s),
+            }
+        })
+        .collect();
+    let bits = |rows: &[OcclusionRow]| -> Vec<[u64; 6]> {
+        rows.iter()
+            .map(|r| {
+                [
+                    r.density,
+                    r.relief_m,
+                    r.forwarder_coverage,
+                    r.combined_coverage,
+                    r.forwarder_ttd_s,
+                    r.combined_ttd_s,
+                ]
+                .map(f64::to_bits)
+            })
+            .collect()
+    };
+    let parallel = occlusion_sweep(&densities, 15.0, &seeds, duration);
+    assert_eq!(bits(&parallel), bits(&sequential));
 }
 
 #[test]

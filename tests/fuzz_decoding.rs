@@ -6,7 +6,12 @@ use proptest::prelude::*;
 use silvasec::channel::messages::{Finished, Hello, Reply};
 use silvasec::crypto::edwards::EdwardsPoint;
 use silvasec::crypto::schnorr::{Signature, VerifyingKey};
+use silvasec::machines::sensors::{detections_from_json, detections_to_json, Detection};
 use silvasec::prelude::*;
+
+/// Bytes a mutation writes: the feed grammar's own alphabet, so flips
+/// land on near-canonical feeds instead of only on garbage.
+const FEED_ALPHABET: &[u8] = b"0123456789-+.eE,:{}[]\"nulxy_ ";
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
@@ -32,6 +37,75 @@ proptest! {
     fn point_decoding_never_panics(bytes in any::<[u8; 64]>()) {
         let _ = EdwardsPoint::decode(&bytes);
         let _ = VerifyingKey::from_bytes(&bytes);
+    }
+
+    #[test]
+    fn drone_feed_decoder_fails_closed_on_mutated_feeds(
+        ids in proptest::collection::vec(any::<u32>(), 0..4),
+        coords in proptest::collection::vec(any::<f64>(), 8..9),
+        units in proptest::collection::vec(any::<u64>(), 8..9),
+        kind in 0u8..4,
+        at in any::<usize>(),
+        noise in proptest::collection::vec(any::<u8>(), 1..6),
+    ) {
+        let unit = |i: usize| units[i] as f64 / u64::MAX as f64;
+        let feed: Vec<Detection> = ids
+            .iter()
+            .enumerate()
+            .map(|(i, &id)| Detection {
+                human_id: HumanId(id),
+                position: Vec2::new(coords[2 * i], coords[2 * i + 1]),
+                confidence: unit(2 * i),
+                distance_m: unit(2 * i + 1) * 80.0,
+            })
+            .collect();
+        let mut bytes = Vec::new();
+        detections_to_json(&feed, &mut bytes);
+        let len = bytes.len();
+        match kind {
+            // Byte flips: overwrite with a grammar byte or xor noise.
+            0 => {
+                for (k, &n) in noise.iter().enumerate() {
+                    let i = at.wrapping_add(k.wrapping_mul(7_919)) % len;
+                    bytes[i] = if n % 2 == 0 {
+                        FEED_ALPHABET[usize::from(n / 2) % FEED_ALPHABET.len()]
+                    } else {
+                        bytes[i] ^ n
+                    };
+                }
+            }
+            1 => bytes.truncate(at % (len + 1)),
+            // Splice a chunk of the feed itself in at another offset.
+            2 => {
+                let from = at % len;
+                let chunk = bytes[from..(from + usize::from(noise[0])).min(len)].to_vec();
+                let to = at.rotate_left(17) % (len + 1);
+                bytes.splice(to..to, chunk);
+            }
+            // Splice in grammar bytes.
+            _ => {
+                let to = at % (len + 1);
+                let chunk = noise.iter().map(|&n| FEED_ALPHABET[usize::from(n) % FEED_ALPHABET.len()]);
+                bytes.splice(to..to, chunk);
+            }
+        }
+        let mut decoded = Vec::new();
+        if detections_from_json(&bytes, &mut decoded) {
+            for d in &decoded {
+                prop_assert!(
+                    d.position.x.is_finite()
+                        && d.position.y.is_finite()
+                        && (0.0..=1.0).contains(&d.confidence)
+                        && d.distance_m >= 0.0
+                        && d.distance_m.is_finite(),
+                    "accepted out-of-domain detection {:?} from {:?}",
+                    d,
+                    String::from_utf8_lossy(&bytes)
+                );
+            }
+        } else {
+            prop_assert!(decoded.is_empty());
+        }
     }
 
     #[test]
