@@ -21,12 +21,6 @@
 //! **appended** to the trajectory file so successive revisions
 //! accumulate.
 //!
-//! Run keys come from the environment, never from a wall clock inside
-//! the measurement:
-//!
-//! * `SILVASEC_GIT_SHA` — revision identifier (default `unknown`);
-//! * `SILVASEC_RUN_TS` — timestamp string (default `unspecified`);
-//!
 //! Run with: `cargo run --release -p silvasec-bench --bin crypto_bench`
 //! (pass `--smoke` for a CI-sized run: reduced iterations, correctness
 //! and batch-beats-sequential assertions only, no speedup floors, no
@@ -37,96 +31,25 @@ use silvasec::crypto::edwards::EdwardsPoint;
 use silvasec::crypto::scalar::Scalar;
 use silvasec::crypto::schnorr::{self, BatchItem, Signature, SigningKey, VerifyingKey};
 use silvasec::crypto::{chacha20, sha256};
-use silvasec_bench::{append_trajectory_run, run_keys};
-use std::time::Instant;
+use silvasec_bench::{append_trajectory_run, best_per_call_s, hex, paired_rounds, xorshift_bytes};
 
 const BATCH_SIZE: usize = 16;
 
 /// Deterministic scalar stream (xorshift64*), so every run times the
 /// same inputs and the cross-check digest is reproducible.
 fn scalar_stream(seed: u64, n: usize) -> Vec<Scalar> {
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    };
-    (0..n)
-        .map(|_| {
-            let mut wide = [0u8; 64];
-            for chunk in wide.chunks_exact_mut(8) {
-                chunk.copy_from_slice(&next().to_le_bytes());
-            }
-            Scalar::from_bytes_mod_order_wide(&wide)
-        })
+    xorshift_bytes(seed, 64 * n)
+        .chunks_exact(64)
+        .map(|wide| Scalar::from_bytes_mod_order_wide(wide.try_into().expect("64 bytes")))
         .collect()
 }
 
-/// Times `f` over `iters` calls, best of three passes, returning
-/// (seconds per call, ops per second).
-fn time_best_of_3<T>(iters: usize, mut f: impl FnMut(usize) -> T) -> (f64, f64) {
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        for i in 0..iters {
-            std::hint::black_box(f(i));
-        }
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    let per_call = best / iters as f64;
-    (per_call, 1.0 / per_call.max(1e-12))
-}
-
-/// Times a fast/reference pair with per-iteration interleaving and
-/// returns (fast ops/s, reference ops/s, speedup). The two closures
-/// alternate call by call, so each fast call runs within microseconds
-/// of the reference call it is compared against — on a shared 1-core
-/// host the absolute timings can swing by tens of percent over tens
-/// of milliseconds, and timing the two sides in separate blocks would
-/// compare a throttled window against an unthrottled one. The speedup
-/// is the median of per-round total-time ratios; throughputs are
-/// best-of-rounds. Per-call `Instant` overhead is negligible against
-/// the multi-microsecond calls this is used for.
-fn time_pair<T, U>(
-    iters: usize,
-    mut fast: impl FnMut(usize) -> T,
-    mut reference: impl FnMut(usize) -> U,
-) -> (f64, f64, f64) {
-    const ROUNDS: usize = 5;
-    let mut best_fast = f64::INFINITY;
-    let mut best_ref = f64::INFINITY;
-    let mut ratios = [0.0f64; ROUNDS];
-    for ratio in &mut ratios {
-        let mut tf = 0.0f64;
-        let mut tr = 0.0f64;
-        for i in 0..iters {
-            let t0 = Instant::now();
-            std::hint::black_box(fast(i));
-            tf += t0.elapsed().as_secs_f64();
-            let t0 = Instant::now();
-            std::hint::black_box(reference(i));
-            tr += t0.elapsed().as_secs_f64();
-        }
-        let tf = tf.max(1e-12);
-        best_fast = best_fast.min(tf);
-        best_ref = best_ref.min(tr);
-        *ratio = tr / tf;
-    }
-    ratios.sort_by(f64::total_cmp);
-    (
-        iters as f64 / best_fast,
-        iters as f64 / best_ref,
-        ratios[ROUNDS / 2],
-    )
-}
+/// Paired rounds per fast/reference timing; the speedup is the median
+/// of the per-round ratios and the throughputs are best-of-rounds.
+const ROUNDS: usize = 5;
 
 #[derive(Debug, Serialize)]
 struct RunEntry {
-    /// Revision identifier (`SILVASEC_GIT_SHA`, `unknown` if unset).
-    git_sha: String,
-    /// Run timestamp (`SILVASEC_RUN_TS`, `unspecified` if unset).
-    run_ts: String,
     /// Iterations per timed scalar-mul pair.
     iters: usize,
     /// Width of the static basepoint NAF window the verification-side
@@ -169,7 +92,6 @@ struct RunEntry {
     chacha20_mib_per_s: f64,
 }
 
-/// Loads the existing trajectory file and returns its `runs` array.
 fn batch_fixture(n: usize) -> (Vec<Vec<u8>>, Vec<Signature>, Vec<VerifyingKey>) {
     let mut messages = Vec::with_capacity(n);
     let mut signatures = Vec::with_capacity(n);
@@ -218,8 +140,7 @@ fn cross_check(scalars: &[Scalar], points: &[EdwardsPoint]) -> String {
         h.update(&fast_win.encode());
         h.update(&fast_dsm.encode());
     }
-    let digest = h.finalize();
-    digest.iter().map(|b| format!("{b:02x}")).collect()
+    hex(&h.finalize())
 }
 
 #[allow(clippy::too_many_lines)]
@@ -247,17 +168,20 @@ fn main() {
     );
 
     eprintln!("crypto_bench: timing scalar multiplication ({iters} iters, paired rounds)");
-    let (bp_fast, bp_naive, bp_speedup) = time_pair(
+    let bp = paired_rounds(
+        ROUNDS,
         iters,
         |i| base.scalar_mul(&scalars[i]),
         |i| base.scalar_mul_naive(&scalars[i]),
     );
-    let (win_fast, win_naive, win_speedup) = time_pair(
+    let win = paired_rounds(
+        ROUNDS,
         iters,
         |i| points[i % 4].scalar_mul(&scalars[i]),
         |i| points[i % 4].scalar_mul_naive(&scalars[i]),
     );
-    let (dsm_fast, dsm_naive, dsm_speedup) = time_pair(
+    let dsm = paired_rounds(
+        ROUNDS,
         iters,
         |i| base.double_scalar_mul(&scalars[i], &points[i % 4], &scalars[i + 1]),
         |i| base.double_scalar_mul_naive(&scalars[i], &points[i % 4], &scalars[i + 1]),
@@ -268,8 +192,8 @@ fn main() {
     let vk = sk.verifying_key();
     let msg = b"crypto-bench sign/verify message";
     let sig = sk.sign(msg);
-    let (_, sign_per_s) = time_best_of_3(iters, |_| sk.sign(msg));
-    let (_, verify_per_s) = time_best_of_3(iters, |_| vk.verify(msg, &sig).unwrap());
+    let sign_per_s = 1.0 / best_per_call_s(3, iters, |_| sk.sign(msg));
+    let verify_per_s = 1.0 / best_per_call_s(3, iters, |_| vk.verify(msg, &sig).unwrap());
 
     let (messages, signatures, keys) = batch_fixture(BATCH_SIZE);
     let items: Vec<BatchItem<'_>> = (0..BATCH_SIZE)
@@ -282,7 +206,8 @@ fn main() {
     let batch_iters = (iters / 4).max(2);
     // The same 16 signatures verified one by one form the reference
     // for the batch speedup.
-    let (batch_per_s, _, batch_speedup) = time_pair(
+    let batch = paired_rounds(
+        ROUNDS,
         batch_iters,
         |_| assert!(schnorr::verify_batch(&items)),
         |_| {
@@ -291,39 +216,39 @@ fn main() {
             }
         },
     );
-    let verify_batch16_per_sig_per_s = BATCH_SIZE as f64 * batch_per_s;
+    let verify_batch16_per_sig_per_s = BATCH_SIZE as f64 * batch.best_rates(batch_iters).0;
 
     eprintln!("crypto_bench: timing bulk primitives");
     let bulk = vec![0xA5u8; 1 << 20];
     let bulk_iters = if smoke { 2 } else { 8 };
-    let (sha_s, _) = time_best_of_3(bulk_iters, |_| sha256::digest(&bulk));
+    let sha_s = best_per_call_s(3, bulk_iters, |_| sha256::digest(&bulk));
     let cipher = chacha20::ChaCha20::new(&[7u8; 32]);
     let mut stream_buf = bulk.clone();
-    let (chacha_s, _) = time_best_of_3(bulk_iters, |_| {
+    let chacha_s = best_per_call_s(3, bulk_iters, |_| {
         cipher.apply_keystream(&[9u8; 12], 0, &mut stream_buf);
     });
     let mib = bulk.len() as f64 / (1024.0 * 1024.0);
 
-    let (git_sha, run_ts) = run_keys();
+    let (bp_fast, bp_naive) = bp.best_rates(iters);
+    let (win_fast, win_naive) = win.best_rates(iters);
+    let (dsm_fast, dsm_naive) = dsm.best_rates(iters);
     let entry = RunEntry {
-        git_sha,
-        run_ts,
         iters,
         basepoint_naf_window: silvasec::crypto::edwards::BASEPOINT_NAF_WINDOW,
         check_digest,
         scalar_mul_basepoint_per_s: bp_fast,
         scalar_mul_basepoint_naive_per_s: bp_naive,
-        scalar_mul_basepoint_speedup: bp_speedup,
+        scalar_mul_basepoint_speedup: bp.median_ratio(),
         scalar_mul_window_per_s: win_fast,
         scalar_mul_window_naive_per_s: win_naive,
-        scalar_mul_window_speedup: win_speedup,
+        scalar_mul_window_speedup: win.median_ratio(),
         double_scalar_mul_per_s: dsm_fast,
         double_scalar_mul_naive_per_s: dsm_naive,
-        double_scalar_mul_speedup: dsm_speedup,
+        double_scalar_mul_speedup: dsm.median_ratio(),
         sign_per_s,
         verify_per_s,
         verify_batch16_per_sig_per_s,
-        verify_batch16_speedup: batch_speedup,
+        verify_batch16_speedup: batch.median_ratio(),
         sha256_mib_per_s: mib / sha_s.max(1e-12),
         chacha20_mib_per_s: mib / chacha_s.max(1e-12),
     };
@@ -360,5 +285,5 @@ fn main() {
         entry.scalar_mul_basepoint_speedup
     );
 
-    append_trajectory_run("BENCH_crypto.json", "silvasec-crypto-trajectory/1", &entry);
+    append_trajectory_run("BENCH_crypto.json", "crypto_bench", &entry);
 }

@@ -34,12 +34,6 @@
 //! loop, producing speedups that measure the optimizer rather than the
 //! cipher.
 //!
-//! Run keys come from the environment, never from a wall clock inside
-//! the measurement:
-//!
-//! * `SILVASEC_GIT_SHA` — revision identifier (default `unknown`);
-//! * `SILVASEC_RUN_TS` — timestamp string (default `unspecified`);
-//!
 //! Run with: `cargo run --release -p silvasec-bench --bin
 //! data_plane_bench` (pass `--smoke` for a CI-sized run: reduced
 //! iterations, cross-checks and the zero-allocation assertion only, no
@@ -47,11 +41,12 @@
 
 use serde::Serialize;
 use silvasec_bench::alloc::{acquisitions, TrackingAllocator};
-use silvasec_bench::{append_trajectory_run, run_keys, session_pair};
+use silvasec_bench::{
+    append_trajectory_run, best_per_call_s, hex, paired_rounds, session_pair, xorshift_bytes,
+};
 use silvasec_crypto::aead::ChaCha20Poly1305;
 use silvasec_crypto::chacha20::ChaCha20;
 use silvasec_crypto::sha256;
-use std::time::Instant;
 
 #[global_allocator]
 static ALLOCATOR: TrackingAllocator = TrackingAllocator;
@@ -86,82 +81,12 @@ fn nonce_for(i: usize) -> [u8; 12] {
     nonce
 }
 
-/// Deterministic payload bytes (xorshift64*), so every run times and
-/// cross-checks the same inputs.
-fn payload(seed: u64, len: usize) -> Vec<u8> {
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let mut out = Vec::with_capacity(len);
-    while out.len() < len {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        let word = state.wrapping_mul(0x2545_F491_4F6C_DD1D).to_le_bytes();
-        let take = word.len().min(len - out.len());
-        out.extend_from_slice(&word[..take]);
-    }
-    out
-}
-
-/// Times `f` over `iters` calls, best of three passes, returning
-/// (seconds per call, ops per second).
-fn time_best_of_3<T>(iters: usize, mut f: impl FnMut(usize) -> T) -> (f64, f64) {
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        for i in 0..iters {
-            std::hint::black_box(f(i));
-        }
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    let per_call = best / iters as f64;
-    (per_call, 1.0 / per_call.max(1e-12))
-}
-
-/// Times a fast/reference pair with per-iteration interleaving and
-/// returns (fast ops/s, reference ops/s, speedup). Same discipline as
-/// `crypto_bench`: the closures alternate call by call so each fast
-/// call runs within microseconds of the reference call it is compared
-/// against, the speedup is the median of per-round total-time ratios,
-/// and throughputs are best-of-rounds.
-fn time_pair<T, U>(
-    iters: usize,
-    mut fast: impl FnMut(usize) -> T,
-    mut reference: impl FnMut(usize) -> U,
-) -> (f64, f64, f64) {
-    const ROUNDS: usize = 5;
-    let mut best_fast = f64::INFINITY;
-    let mut best_ref = f64::INFINITY;
-    let mut ratios = [0.0f64; ROUNDS];
-    for ratio in &mut ratios {
-        let mut tf = 0.0f64;
-        let mut tr = 0.0f64;
-        for i in 0..iters {
-            let t0 = Instant::now();
-            std::hint::black_box(fast(i));
-            tf += t0.elapsed().as_secs_f64();
-            let t0 = Instant::now();
-            std::hint::black_box(reference(i));
-            tr += t0.elapsed().as_secs_f64();
-        }
-        let tf = tf.max(1e-12);
-        best_fast = best_fast.min(tf);
-        best_ref = best_ref.min(tr);
-        *ratio = tr / tf;
-    }
-    ratios.sort_by(f64::total_cmp);
-    (
-        iters as f64 / best_fast,
-        iters as f64 / best_ref,
-        ratios[ROUNDS / 2],
-    )
-}
+/// Paired rounds per fast/reference timing; the speedup is the median
+/// of the per-round ratios and the throughputs are best-of-rounds.
+const ROUNDS: usize = 5;
 
 #[derive(Debug, Serialize)]
 struct RunEntry {
-    /// Revision identifier (`SILVASEC_GIT_SHA`, `unknown` if unset).
-    git_sha: String,
-    /// Run timestamp (`SILVASEC_RUN_TS`, `unspecified` if unset).
-    run_ts: String,
     /// Iterations per timed pair.
     iters: usize,
     /// SHA-256 over every cross-checked ciphertext — identical for two
@@ -198,7 +123,6 @@ struct RunEntry {
     session_seal_allocs_per_record: f64,
 }
 
-/// Loads the existing trajectory file and returns its `runs` array.
 /// Cross-checks every fast path against its frozen reference across the
 /// edge-heavy length schedule and feeds every ciphertext into the
 /// digest; panics on the first divergence (the proptests cover this too
@@ -207,7 +131,7 @@ fn cross_check(cipher: &ChaCha20, aead: &ChaCha20Poly1305) -> String {
     let mut h = sha256::Sha256::new();
     for (i, &len) in CHECK_LENS.iter().enumerate() {
         let nonce = nonce_for(i);
-        let pt = payload(0xDA7A ^ len as u64, len);
+        let pt = xorshift_bytes(0xDA7A ^ len as u64, len);
 
         // Keystream: wide path vs frozen per-block reference, at an
         // offset counter so partial leading chunks are exercised too.
@@ -261,8 +185,7 @@ fn cross_check(cipher: &ChaCha20, aead: &ChaCha20Poly1305) -> String {
 
         h.update(&sealed);
     }
-    let digest = h.finalize();
-    digest.iter().map(|b| format!("{b:02x}")).collect()
+    hex(&h.finalize())
 }
 
 /// Counts heap allocations per `Session::seal_into` once the reused
@@ -270,7 +193,7 @@ fn cross_check(cipher: &ChaCha20, aead: &ChaCha20Poly1305) -> String {
 fn measure_seal_allocs() -> f64 {
     const RECORDS: u64 = 512;
     let (mut tx, mut rx) = session_pair(23);
-    let pt = payload(0x5EA1, RECORD_PAYLOAD_LEN);
+    let pt = xorshift_bytes(0x5EA1, RECORD_PAYLOAD_LEN);
     let mut record = Vec::new();
     let mut opened = Vec::new();
     // Warm-up: the first seal grows `record` to its steady-state
@@ -311,13 +234,14 @@ fn main() {
          (measured {session_seal_allocs_per_record} allocations per record)"
     );
 
-    let bulk = payload(0xB01D, BULK_LEN);
+    let bulk = xorshift_bytes(0xB01D, BULK_LEN);
     let mib = BULK_LEN as f64 / (1024.0 * 1024.0);
 
     eprintln!("data_plane_bench: timing ChaCha20 keystream ({iters} iters, paired rounds)");
     let mut ks_fast = bulk.clone();
     let mut ks_naive = bulk.clone();
-    let (ks_fast_per_s, ks_naive_per_s, ks_speedup) = time_pair(
+    let ks = paired_rounds(
+        ROUNDS,
         iters,
         |i| cipher.apply_keystream_inplace(&nonce_for(i), i as u32, &mut ks_fast),
         |i| cipher.apply_keystream_naive(&nonce_for(i), i as u32, &mut ks_naive),
@@ -325,7 +249,8 @@ fn main() {
 
     eprintln!("data_plane_bench: timing AEAD seal (one-pass in-place vs two-pass)");
     let mut seal_buf: Vec<u8> = Vec::with_capacity(BULK_LEN + ChaCha20Poly1305::overhead());
-    let (seal_fast_per_s, seal_naive_per_s, seal_speedup) = time_pair(
+    let seal = paired_rounds(
+        ROUNDS,
         iters,
         |i| {
             seal_buf.clear();
@@ -341,7 +266,8 @@ fn main() {
         .map(|i| aead.seal(&nonce_for(i), AAD, &bulk))
         .collect();
     let mut open_buf: Vec<u8> = Vec::with_capacity(records[0].len());
-    let (open_fast_per_s, open_naive_per_s, open_speedup) = time_pair(
+    let open = paired_rounds(
+        ROUNDS,
         iters,
         |i| {
             open_buf.clear();
@@ -359,35 +285,36 @@ fn main() {
 
     eprintln!("data_plane_bench: timing streaming SHA-256");
     let hash_iters = if smoke { 4 } else { 16 };
-    let (sha_per_call, _) = time_best_of_3(hash_iters, |_| sha256::digest(&bulk));
+    let sha_per_call = best_per_call_s(3, hash_iters, |_| sha256::digest(&bulk));
 
     eprintln!("data_plane_bench: timing established-session record throughput");
     let (mut tx, mut rx) = session_pair(31);
-    let record_pt = payload(0x7E1E, RECORD_PAYLOAD_LEN);
+    let record_pt = xorshift_bytes(0x7E1E, RECORD_PAYLOAD_LEN);
     let mut record = Vec::new();
     let mut opened = Vec::new();
     let session_iters = if smoke { 64 } else { 4096 };
-    let (_, session_records_per_s) = time_best_of_3(session_iters, |_| {
-        tx.seal_into(&record_pt, &mut record).expect("seal record");
-        rx.open_into(&record, &mut opened).expect("open record");
-        opened.len()
-    });
+    let session_records_per_s = 1.0
+        / best_per_call_s(3, session_iters, |_| {
+            tx.seal_into(&record_pt, &mut record).expect("seal record");
+            rx.open_into(&record, &mut opened).expect("open record");
+            opened.len()
+        });
 
-    let (git_sha, run_ts) = run_keys();
+    let (ks_fast_per_s, ks_naive_per_s) = ks.best_rates(iters);
+    let (seal_fast_per_s, seal_naive_per_s) = seal.best_rates(iters);
+    let (open_fast_per_s, open_naive_per_s) = open.best_rates(iters);
     let entry = RunEntry {
-        git_sha,
-        run_ts,
         iters,
         check_digest,
         chacha20_wide_mib_per_s: ks_fast_per_s * mib,
         chacha20_naive_mib_per_s: ks_naive_per_s * mib,
-        chacha20_keystream_speedup: ks_speedup,
+        chacha20_keystream_speedup: ks.median_ratio(),
         aead_seal_mib_per_s: seal_fast_per_s * mib,
         aead_seal_naive_mib_per_s: seal_naive_per_s * mib,
-        aead_seal_speedup: seal_speedup,
+        aead_seal_speedup: seal.median_ratio(),
         aead_open_mib_per_s: open_fast_per_s * mib,
         aead_open_naive_mib_per_s: open_naive_per_s * mib,
-        aead_open_speedup: open_speedup,
+        aead_open_speedup: open.median_ratio(),
         sha256_mib_per_s: mib / sha_per_call.max(1e-12),
         session_records_per_s,
         session_mb_per_s: session_records_per_s * RECORD_PAYLOAD_LEN as f64 / 1e6,
@@ -417,9 +344,5 @@ fn main() {
         entry.aead_seal_speedup
     );
 
-    append_trajectory_run(
-        "BENCH_data_plane.json",
-        "silvasec-data-plane-trajectory/1",
-        &entry,
-    );
+    append_trajectory_run("BENCH_data_plane.json", "data_plane_bench", &entry);
 }

@@ -22,24 +22,19 @@
 //! `BENCH_exp10_fleet.json` so successive revisions accumulate into a
 //! trajectory.
 //!
-//! Run keys come from the environment, never from a wall clock inside
-//! the simulation:
-//!
-//! * `SILVASEC_GIT_SHA` — revision identifier (default `unknown`);
-//! * `SILVASEC_RUN_TS` — timestamp string (default `unspecified`);
-//!
 //! Run with: `cargo run --release -p silvasec-bench --bin exp10_fleet`
-//! (pass `--sites-max 4` for a CI-sized smoke run, `--seed N` to vary
-//! the fleet seed).
+//! (pass `--smoke` for a CI-sized run: fleets of up to 4 sites, every
+//! scenario asserted, no trajectory append).
 
 use serde::Serialize;
 use silvasec::experiments::{run_fleet_rollout, FleetScenario};
 use silvasec::fleet::RolloutReport;
 use silvasec::sweep::{par_sweep_with_stats, worker_count};
-use silvasec_bench::{append_trajectory_run, run_keys};
+use silvasec_bench::append_trajectory_run;
 
 const FLEET_SIZES: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
-const DEFAULT_SEED: u64 = 11;
+const SMOKE_SIZES: [usize; 3] = [1, 2, 4];
+const SEED: u64 = 11;
 
 #[derive(Debug, Serialize)]
 struct SizeRow {
@@ -63,10 +58,6 @@ fn verify_mean_us(report: &RolloutReport) -> f64 {
 
 #[derive(Debug, Serialize)]
 struct RunEntry {
-    /// Revision identifier (`SILVASEC_GIT_SHA`, `unknown` if unset).
-    git_sha: String,
-    /// Run timestamp (`SILVASEC_RUN_TS`, `unspecified` if unset).
-    run_ts: String,
     /// Fleet seed the whole run used.
     seed: u64,
     /// Worker threads the sweep engine used.
@@ -106,43 +97,13 @@ struct RunEntry {
     clean_rows: Vec<SizeRow>,
 }
 
-fn parse_args() -> (usize, u64) {
-    let mut sites_max = *FLEET_SIZES.last().expect("non-empty");
-    let mut seed = DEFAULT_SEED;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--sites-max" => {
-                let value = args.next().expect("--sites-max needs a value");
-                sites_max = value.parse().expect("--sites-max must be an integer");
-                assert!(sites_max >= 1, "--sites-max must be at least 1");
-            }
-            "--seed" => {
-                let value = args.next().expect("--seed needs a value");
-                seed = value.parse().expect("--seed must be an integer");
-            }
-            other => panic!("unknown argument: {other} (expected --sites-max / --seed)"),
-        }
-    }
-    (sites_max, seed)
-}
-
 fn reason_total(report: &RolloutReport, reason: &str) -> u32 {
     report.reject_reasons.get(reason).copied().unwrap_or(0)
 }
 
 fn main() {
-    let (sites_max, seed) = parse_args();
-    let sizes: Vec<usize> = FLEET_SIZES
-        .iter()
-        .copied()
-        .filter(|&s| s <= sites_max)
-        .collect();
-    let sizes = if sizes.is_empty() {
-        vec![sites_max]
-    } else {
-        sizes
-    };
+    let smoke = std::env::args().any(|a| a == "--smoke");
+    let sizes: &[usize] = if smoke { &SMOKE_SIZES } else { &FLEET_SIZES };
     let max_sites = *sizes.last().expect("non-empty");
     let jam_sites = max_sites.min(8);
 
@@ -158,13 +119,13 @@ fn main() {
     points.push((jam_sites, FleetScenario::Jammed));
 
     eprintln!(
-        "exp10_fleet: {} points (sizes {:?}, seed {seed}) on {} workers",
+        "exp10_fleet: {} points (sizes {:?}, seed {SEED}) on {} workers",
         points.len(),
         sizes,
         worker_count(points.len())
     );
     let (results, stats) = par_sweep_with_stats(&points, |&(sites, scenario)| {
-        run_fleet_rollout(sites, seed, scenario)
+        run_fleet_rollout(sites, SEED, scenario)
     });
 
     // Clean scaling rows.
@@ -255,13 +216,10 @@ fn main() {
         .map(|(i, _)| results[i].0.applied_sites)
         .sum();
     let last_clean = clean_rows.last().expect("non-empty");
-    let (git_sha, run_ts) = run_keys();
     let entry = RunEntry {
-        git_sha,
-        run_ts,
-        seed,
+        seed: SEED,
         workers: stats.workers,
-        fleet_sizes: sizes.clone(),
+        fleet_sizes: sizes.to_vec(),
         max_sites,
         sweep_wall_s: stats.wall_s,
         rollout_sites_per_s: f64::from(applied_total) / stats.wall_s.max(1e-9),
@@ -278,7 +236,7 @@ fn main() {
         clean_rows,
     };
 
-    println!("--- E10: clean rollout scaling (seed {seed}) ---");
+    println!("--- E10: clean rollout scaling (seed {SEED}) ---");
     println!(
         "{:>6} {:>12} {:>14} {:>12}",
         "sites", "latency (s)", "bytes on air", "frames"
@@ -316,9 +274,10 @@ fn main() {
     );
     println!("deterministic: same-seed traces at {max_sites} sites byte-identical");
 
-    append_trajectory_run(
-        "BENCH_exp10_fleet.json",
-        "silvasec-fleet-trajectory/1",
-        &entry,
-    );
+    if smoke {
+        eprintln!("smoke mode: skipping trajectory append");
+        return;
+    }
+
+    append_trajectory_run("BENCH_exp10_fleet.json", "exp10_fleet", &entry);
 }

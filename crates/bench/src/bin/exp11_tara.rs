@@ -22,12 +22,6 @@
 //!   from SIEM campaign evidence, retires them on rollout mitigation,
 //!   and the hypothesis state replays from the fleet trace alone.
 //!
-//! Run keys come from the environment, never from a wall clock inside
-//! the simulation:
-//!
-//! * `SILVASEC_GIT_SHA` — revision identifier (default `unknown`);
-//! * `SILVASEC_RUN_TS` — timestamp string (default `unspecified`);
-//!
 //! Run with: `cargo run --release -p silvasec-bench --bin exp11_tara`
 //! (pass `--smoke` for a CI-sized run: 10²/10³-scenario points,
 //! contracts asserted, no trajectory append).
@@ -37,7 +31,7 @@ use silvasec::experiments::{run_tara_hypotheses, tara_ranking};
 use silvasec::risk::catalog::worksite_model;
 use silvasec::risk::tara::Tara;
 use silvasec::tara::{HypothesisSet, ScenarioSpace, TaraCatalog};
-use silvasec_bench::{append_trajectory_run, run_keys};
+use silvasec_bench::{append_trajectory_run, hex};
 use std::time::Instant;
 
 const TARGETS: [u64; 5] = [100, 1_000, 10_000, 100_000, 1_000_000];
@@ -49,10 +43,6 @@ const TOP_K: usize = 64;
 /// engine must enumerate, dedup and score at least this many scenarios
 /// per wall-clock second.
 const MIN_SCENARIOS_PER_S: f64 = 50_000.0;
-
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
 
 #[derive(Debug, Serialize)]
 struct TaraRow {
@@ -83,10 +73,6 @@ struct TaraRow {
 
 #[derive(Debug, Serialize)]
 struct RunEntry {
-    /// Revision identifier (`SILVASEC_GIT_SHA`, `unknown` if unset).
-    git_sha: String,
-    /// Run timestamp (`SILVASEC_RUN_TS`, `unspecified` if unset).
-    run_ts: String,
     /// Seed keying the variant attack-path perturbations.
     seed: u64,
     /// Ranking capacity at every sweep point.
@@ -233,10 +219,7 @@ fn main() {
     );
 
     let last = rows.last().expect("non-empty sweep");
-    let (git_sha, run_ts) = run_keys();
     let entry = RunEntry {
-        git_sha,
-        run_ts,
         seed: SEED,
         top_k: TOP_K,
         smoke,
@@ -281,5 +264,5 @@ fn main() {
         return;
     }
 
-    append_trajectory_run("BENCH_tara.json", "silvasec-tara-trajectory/1", &entry);
+    append_trajectory_run("BENCH_tara.json", "exp11_tara", &entry);
 }

@@ -24,18 +24,12 @@
 //! heap per site (the shared tracking allocator), and the largest
 //! point must stay under a bytes/site ceiling — the memory claim is
 //! asserted in-binary, not eyeballed. One entry is **appended** to
-//! `BENCH_fleet_scale.json` (`silvasec-fleet-scale-trajectory/1`).
-//!
-//! Run keys come from the environment, never from a wall clock inside
-//! the simulation:
-//!
-//! * `SILVASEC_GIT_SHA` — revision identifier (default `unknown`);
-//! * `SILVASEC_RUN_TS` — timestamp string (default `unspecified`);
+//! `BENCH_fleet_scale.json`.
 //!
 //! Run with:
 //! `cargo run --release -p silvasec-bench --bin exp12_fleet_scale`
-//! (pass `--smoke` for the CI-sized run capped at 16 384 sites,
-//! `--sites-max N` / `--seed N` to override the sweep).
+//! (pass `--smoke` for the CI-sized run: capped at 16 384 sites, every
+//! contract asserted, no bytes/site ceiling, no trajectory append).
 //!
 //! [`Worksite`]: silvasec::sos::Worksite
 
@@ -47,7 +41,7 @@ use silvasec::experiments::{
 };
 use silvasec::fleet::ShadowConfig;
 use silvasec_bench::alloc::{peak_baseline, peak_since, TrackingAllocator};
-use silvasec_bench::{append_trajectory_run, run_keys};
+use silvasec_bench::{append_trajectory_run, hex};
 
 /// SHA-256 of the 64-site seed-11 clean fleet trace captured on the
 /// shadowless code path before the two-fidelity refactor. The refactor
@@ -68,15 +62,11 @@ const BYTES_PER_SITE_CEILING: f64 = 256.0;
 const CEILING_FLOOR_SITES: usize = 65_536;
 
 const SCALE_SIZES: [usize; 5] = [64, 1_024, 16_384, 131_072, 1_048_576];
-const SMOKE_MAX_SITES: usize = 16_384;
-const DEFAULT_SEED: u64 = 11;
+const SMOKE_SIZES: [usize; 3] = [64, 1_024, 16_384];
+const SEED: u64 = 11;
 
 #[global_allocator]
 static ALLOCATOR: TrackingAllocator = TrackingAllocator;
-
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
 
 #[derive(Debug, Serialize)]
 struct ScaleRow {
@@ -110,8 +100,6 @@ struct ScaleRow {
 
 #[derive(Debug, Serialize)]
 struct RunEntry {
-    git_sha: String,
-    run_ts: String,
     seed: u64,
     smoke: bool,
     sizes: Vec<usize>,
@@ -136,45 +124,9 @@ struct RunEntry {
     rows: Vec<ScaleRow>,
 }
 
-/// Loads the existing trajectory file and returns its `runs` array.
-fn parse_args() -> (usize, u64, bool) {
-    let mut sites_max = *SCALE_SIZES.last().expect("non-empty");
-    let mut seed = DEFAULT_SEED;
-    let mut smoke = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => {
-                smoke = true;
-                sites_max = sites_max.min(SMOKE_MAX_SITES);
-            }
-            "--sites-max" => {
-                let value = args.next().expect("--sites-max needs a value");
-                sites_max = value.parse().expect("--sites-max must be an integer");
-                assert!(sites_max >= 64, "--sites-max must be at least 64");
-            }
-            "--seed" => {
-                let value = args.next().expect("--seed needs a value");
-                seed = value.parse().expect("--seed must be an integer");
-            }
-            other => panic!("unknown argument: {other} (expected --smoke / --sites-max / --seed)"),
-        }
-    }
-    (sites_max, seed, smoke)
-}
-
 fn main() {
-    let (sites_max, seed, smoke) = parse_args();
-    let sizes: Vec<usize> = SCALE_SIZES
-        .iter()
-        .copied()
-        .filter(|&s| s <= sites_max)
-        .collect();
-    let sizes = if sizes.is_empty() {
-        vec![sites_max]
-    } else {
-        sizes
-    };
+    let smoke = std::env::args().any(|a| a == "--smoke");
+    let sizes: &[usize] = if smoke { &SMOKE_SIZES } else { &SCALE_SIZES };
     let max_sites = *sizes.last().expect("non-empty");
     let small_shadow = ShadowConfig {
         full_sites: 4,
@@ -183,14 +135,14 @@ fn main() {
     };
 
     // --- Phase 1: decision equivalence at the overlap scale ----------
-    eprintln!("exp12: [1/4] shadow-vs-full decision equivalence at 64 sites (seed {seed})");
-    let (full_report, full_fleet) = run_fleet_scale_scenario(fleet_config(64), seed);
+    eprintln!("exp12: [1/4] shadow-vs-full decision equivalence at 64 sites (seed {SEED})");
+    let (full_report, full_fleet) = run_fleet_scale_scenario(fleet_config(64), SEED);
     let shadow_cfg = {
         let mut c = fleet_config(64);
         c.shadow = Some(small_shadow);
         c
     };
-    let (shadow_report, shadow_fleet) = run_fleet_scale_scenario(shadow_cfg, seed);
+    let (shadow_report, shadow_fleet) = run_fleet_scale_scenario(shadow_cfg, SEED);
     assert_eq!(
         full_report.applied_sites, shadow_report.applied_sites,
         "both fidelities must apply the rollout fleet-wide"
@@ -213,7 +165,7 @@ fn main() {
 
     // --- Phase 2: tamper/downgrade parity through the batched verify -
     eprintln!("exp12: [2/4] tamper/downgrade parity through the batched verify (4096 sites)");
-    let (tampered, _) = run_fleet_scale_point(4_096, seed, FleetScenario::Tampered, false);
+    let (tampered, _) = run_fleet_scale_point(4_096, SEED, FleetScenario::Tampered, false);
     assert_eq!(
         tampered.applied_sites, 0,
         "tampered bundle must never apply: {tampered:?}"
@@ -226,7 +178,7 @@ fn main() {
         tampered.individually_verified_sites > 0,
         "tampered shadow sites must fall off the shared-verdict fast path: {tampered:?}"
     );
-    let (downgrade, _) = run_fleet_scale_point(4_096, seed, FleetScenario::Downgrade, false);
+    let (downgrade, _) = run_fleet_scale_point(4_096, SEED, FleetScenario::Downgrade, false);
     assert_eq!(
         downgrade.applied_sites, 0,
         "downgrade must never apply: {downgrade:?}"
@@ -244,9 +196,9 @@ fn main() {
 
     // --- Phase 3: shard determinism + legacy trace pinning -----------
     eprintln!("exp12: [3/4] shard determinism and legacy trace pinning");
-    let (_, par_fleet) = run_fleet_scale_point(4_096, seed, FleetScenario::Clean, false);
-    let (_, seq_fleet) = run_fleet_scale_point(4_096, seed, FleetScenario::Clean, true);
-    let (_, twin_fleet) = run_fleet_scale_point(4_096, seed, FleetScenario::Clean, false);
+    let (_, par_fleet) = run_fleet_scale_point(4_096, SEED, FleetScenario::Clean, false);
+    let (_, seq_fleet) = run_fleet_scale_point(4_096, SEED, FleetScenario::Clean, true);
+    let (_, twin_fleet) = run_fleet_scale_point(4_096, SEED, FleetScenario::Clean, false);
     let par_trace = par_fleet.export_trace_jsonl();
     let deterministic_shards = par_trace == seq_fleet.export_trace_jsonl();
     assert!(
@@ -272,10 +224,10 @@ fn main() {
         if smoke { ", smoke" } else { "" }
     );
     let mut rows = Vec::new();
-    for &sites in &sizes {
+    for &sites in sizes {
         let baseline = peak_baseline();
         let start = std::time::Instant::now();
-        let (report, fleet) = run_fleet_scale_scenario(fleet_scale_config(sites, false), seed);
+        let (report, fleet) = run_fleet_scale_scenario(fleet_scale_config(sites, false), SEED);
         let wall_s = start.elapsed().as_secs_f64();
         let peak = peak_since(baseline);
         assert!(
@@ -326,13 +278,10 @@ fn main() {
     }
 
     let last = rows.last().expect("non-empty");
-    let (git_sha, run_ts) = run_keys();
     let entry = RunEntry {
-        git_sha,
-        run_ts,
-        seed,
+        seed: SEED,
         smoke,
-        sizes: sizes.clone(),
+        sizes: sizes.to_vec(),
         max_sites,
         equivalent_at_64,
         tamper_parity,
@@ -345,7 +294,7 @@ fn main() {
         rows,
     };
 
-    println!("--- E12: fleet-scale control plane (seed {seed}) ---");
+    println!("--- E12: fleet-scale control plane (seed {SEED}) ---");
     println!(
         "{:>9} {:>9} {:>12} {:>10} {:>8} {:>12}",
         "sites", "wall (s)", "sites/s", "B/site", "batch x", "SIEM drops"
@@ -369,9 +318,10 @@ fn main() {
     println!("tamper parity: 4096/4096 rejected through the batched verify");
     println!("determinism: parallel == sequential == same-seed twin, legacy trace pinned");
 
-    append_trajectory_run(
-        "BENCH_fleet_scale.json",
-        "silvasec-fleet-scale-trajectory/1",
-        &entry,
-    );
+    if smoke {
+        eprintln!("smoke mode: skipping trajectory append");
+        return;
+    }
+
+    append_trajectory_run("BENCH_fleet_scale.json", "exp12_fleet_scale", &entry);
 }

@@ -17,12 +17,6 @@
 //!   dead-lettered) or folded into an open run as a duplicate, and the
 //!   durable queue's conservation invariant holds at idle.
 //!
-//! Run keys come from the environment, never from a wall clock inside
-//! the simulation:
-//!
-//! * `SILVASEC_GIT_SHA` — revision identifier (default `unknown`);
-//! * `SILVASEC_RUN_TS` — timestamp string (default `unspecified`);
-//!
 //! Run with: `cargo run --release -p silvasec-bench --bin exp13_ops`
 //! (pass `--smoke` for a CI-sized run: 10/100-incident points,
 //! contracts asserted, no trajectory append).
@@ -30,16 +24,12 @@
 use serde::Serialize;
 use silvasec::experiments::run_ops_load;
 use silvasec::ops::RunStore;
-use silvasec_bench::{append_trajectory_run, run_keys};
+use silvasec_bench::{append_trajectory_run, hex};
 use std::time::Instant;
 
 const SIZES: [usize; 4] = [10, 100, 1_000, 10_000];
 const SMOKE_SIZES: [usize; 2] = [10, 100];
 const SEED: u64 = 13;
-
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
 
 #[derive(Debug, Serialize)]
 struct OpsRow {
@@ -71,10 +61,6 @@ struct OpsRow {
 
 #[derive(Debug, Serialize)]
 struct RunEntry {
-    /// Revision identifier (`SILVASEC_GIT_SHA`, `unknown` if unset).
-    git_sha: String,
-    /// Run timestamp (`SILVASEC_RUN_TS`, `unspecified` if unset).
-    run_ts: String,
     /// Seed keying arrivals, backoff jitter and review verdicts.
     seed: u64,
     /// Whether this was a reduced CI run.
@@ -172,10 +158,7 @@ fn main() {
     }
 
     let last = rows.last().expect("non-empty sweep");
-    let (git_sha, run_ts) = run_keys();
     let entry = RunEntry {
-        git_sha,
-        run_ts,
         seed: SEED,
         smoke,
         deterministic_same_seed: true,
@@ -218,5 +201,5 @@ fn main() {
         return;
     }
 
-    append_trajectory_run("BENCH_ops.json", "silvasec-ops-trajectory/1", &entry);
+    append_trajectory_run("BENCH_ops.json", "exp13_ops", &entry);
 }

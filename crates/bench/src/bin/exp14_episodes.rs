@@ -22,12 +22,6 @@
 //! the naive path — that is the overhead the overhaul amortizes, and
 //! the speedup floor (≥ 5×) is asserted on exactly that regime.
 //!
-//! Run keys come from the environment, never from a wall clock inside
-//! the simulation:
-//!
-//! * `SILVASEC_GIT_SHA` — revision identifier (default `unknown`);
-//! * `SILVASEC_RUN_TS` — timestamp string (default `unspecified`);
-//!
 //! Run with: `cargo run --release -p silvasec-bench --bin
 //! exp14_episodes` (pass `--smoke` for a CI-sized run: 10/100-episode
 //! points, contracts asserted, no speedup floor, no trajectory append).
@@ -39,7 +33,7 @@ use silvasec::experiments::{
 use silvasec::prelude::*;
 use silvasec_attacks::AttackKind;
 use silvasec_bench::alloc::{acquisitions, TrackingAllocator};
-use silvasec_bench::{append_trajectory_run, run_keys};
+use silvasec_bench::append_trajectory_run;
 use std::time::Instant;
 
 #[global_allocator]
@@ -110,8 +104,6 @@ struct EpisodeRow {
 
 #[derive(Debug, Serialize)]
 struct Entry {
-    git_sha: String,
-    run_ts: String,
     smoke: bool,
     seed: u64,
     episode_secs: u64,
@@ -253,18 +245,11 @@ fn main() {
         last.speedup
     );
 
-    let (git_sha, run_ts) = run_keys();
     let entry = Entry {
-        git_sha,
-        run_ts,
         smoke,
         seed: SEED,
         episode_secs: EPISODE_SECS,
         rows,
     };
-    append_trajectory_run(
-        "BENCH_episodes.json",
-        "silvasec-episode-trajectory/1",
-        &entry,
-    );
+    append_trajectory_run("BENCH_episodes.json", "exp14_episodes", &entry);
 }

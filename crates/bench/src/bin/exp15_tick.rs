@@ -19,13 +19,6 @@
 //!   2.5× as many worksite-seconds per wall-second as the reference
 //!   (interleaved median-of-rounds, full mode only).
 //!
-//! Run keys come from the environment, never from a wall clock inside
-//! the simulation:
-//!
-//! * `SILVASEC_GIT_SHA` — revision identifier (falls back to
-//!   `git rev-parse HEAD`, then `unknown`);
-//! * `SILVASEC_RUN_TS` — timestamp string (default `unspecified`);
-//!
 //! Run with: `cargo run --release -p silvasec-bench --bin exp15_tick`
 //! (pass `--smoke` for a CI-sized run: short rounds, contracts
 //! asserted, no speedup floor, no trajectory append).
@@ -34,8 +27,7 @@ use serde::Serialize;
 use silvasec::experiments::standard_config;
 use silvasec::prelude::*;
 use silvasec_bench::alloc::{acquisitions, TrackingAllocator};
-use silvasec_bench::{append_trajectory_run, median, run_keys};
-use std::time::Instant;
+use silvasec_bench::{append_trajectory_run, median, paired_site_rounds};
 
 #[global_allocator]
 static ALLOCATOR: TrackingAllocator = TrackingAllocator;
@@ -138,8 +130,6 @@ fn measure_steady_allocs(warm_secs: u64, window_ticks: u64) -> (u64, u64) {
 
 #[derive(Debug, Serialize)]
 struct Entry {
-    git_sha: String,
-    run_ts: String,
     smoke: bool,
     seed: u64,
     /// Parity scenarios proved bit-identical before timing.
@@ -191,30 +181,20 @@ fn main() {
          ({steady_tick_allocs} allocations in {alloc_window_ticks} ticks)"
     );
 
-    // Throughput: interleaved median-of-rounds, reference vs optimized,
-    // fresh site per round so neither arm inherits the other's warmth.
+    // Throughput: interleaved median-of-rounds, optimized vs reference,
+    // a fresh site per call so neither arm inherits the other's warmth.
     let (sim_secs, rounds) = if smoke { (20u64, 3u32) } else { (120, 5) };
+    let duration = SimDuration::from_secs(sim_secs);
     let config = standard_config(SecurityPosture::secure());
-    let time = |reference: bool| {
-        let mut site = Worksite::new(&config, SEED);
-        let t0 = Instant::now();
-        if reference {
-            site.run_reference(SimDuration::from_secs(sim_secs));
-        } else {
-            site.run(SimDuration::from_secs(sim_secs));
-        }
-        t0.elapsed().as_secs_f64()
-    };
-    let _ = (time(true), time(false)); // untimed warm-up pair
-    let mut reference_times = Vec::with_capacity(rounds as usize);
-    let mut optimized_times = Vec::with_capacity(rounds as usize);
-    for _ in 0..rounds {
-        reference_times.push(time(true));
-        optimized_times.push(time(false));
-    }
-    let reference_wall_s = median(&reference_times);
-    let optimized_wall_s = median(&optimized_times);
-    let speedup = reference_wall_s / optimized_wall_s.max(1e-9);
+    let times = paired_site_rounds(
+        rounds as usize,
+        (&config, |site| site.run(duration)),
+        (&config, |site| site.run_reference(duration)),
+        SEED,
+    );
+    let optimized_wall_s = median(&times.fast);
+    let reference_wall_s = median(&times.reference);
+    let speedup = times.ratio_of_medians();
     let reference_sim_rate = sim_secs as f64 / reference_wall_s.max(1e-9);
     let worksite_sim_rate = sim_secs as f64 / optimized_wall_s.max(1e-9);
     eprintln!(
@@ -233,10 +213,7 @@ fn main() {
         "tick speedup floor violated: {speedup:.2}x < {SPEEDUP_FLOOR}x"
     );
 
-    let (git_sha, run_ts) = run_keys();
     let entry = Entry {
-        git_sha,
-        run_ts,
         smoke,
         seed: SEED,
         parity_scenarios,
@@ -251,5 +228,5 @@ fn main() {
         steady_tick_allocs,
         speedup_floor: SPEEDUP_FLOOR,
     };
-    append_trajectory_run("BENCH_tick.json", "silvasec-tick-trajectory/1", &entry);
+    append_trajectory_run("BENCH_tick.json", "exp15_tick", &entry);
 }

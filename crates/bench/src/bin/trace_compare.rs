@@ -191,112 +191,76 @@ fn main() -> ExitCode {
         }
     };
 
-    let parse_seeds = |args: &[String]| -> Option<(u64, u64)> {
-        match (
-            args.get(1).map(|s| s.parse::<u64>()),
-            args.get(2).map(|s| s.parse::<u64>()),
-        ) {
-            (Some(Ok(a)), Some(Ok(b))) => Some((a, b)),
+    // Every self-driving mode takes `<seed-a> <seed-b> [n]`.
+    let mode_args = |default: usize| -> Option<(u64, u64, usize)> {
+        let num = |i: usize| args.get(i).map(|s| s.parse::<u64>());
+        match (num(1), num(2), args.get(3).map(|s| s.parse::<usize>())) {
+            (Some(Ok(a)), Some(Ok(b)), None) => Some((a, b, default)),
+            (Some(Ok(a)), Some(Ok(b)), Some(Ok(n))) => Some((a, b, n)),
             _ => None,
         }
+    };
+    let usage = || {
+        eprintln!("{USAGE}");
+        ExitCode::FAILURE
+    };
+    // Truncates both traces, dumps the left one and compares them.
+    let finish = |left_name: String, left: &str, right_name: String, right: &str| {
+        let left = truncated(left, max_events);
+        dump(&left);
+        compare(
+            &left_name,
+            &left,
+            &right_name,
+            &truncated(right, max_events),
+        )
     };
 
     match args.first().map(String::as_str) {
         Some("--figure1") => {
-            let Some((seed_a, seed_b)) = parse_seeds(&args) else {
-                eprintln!("{USAGE}");
-                return ExitCode::FAILURE;
+            let Some((seed_a, seed_b, secs)) = mode_args(240) else {
+                return usage();
             };
-            let secs = match args.get(3).map(|s| s.parse::<u64>()) {
-                Some(Ok(s)) => s,
-                None => 240,
-                Some(Err(_)) => {
-                    eprintln!("{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let total = SimDuration::from_secs(secs);
-            let left = truncated(
+            let total = SimDuration::from_secs(secs as u64);
+            finish(
+                format!("seed {seed_a}"),
                 &figure1_trace(SecurityPosture::secure(), seed_a, total),
-                max_events,
-            );
-            let right = truncated(
+                format!("seed {seed_b}"),
                 &figure1_trace(SecurityPosture::secure(), seed_b, total),
-                max_events,
-            );
-            dump(&left);
-            compare(
-                &format!("seed {seed_a}"),
-                &left,
-                &format!("seed {seed_b}"),
-                &right,
             )
         }
         Some("--fleet") => {
-            let Some((seed_a, seed_b)) = parse_seeds(&args) else {
-                eprintln!("{USAGE}");
-                return ExitCode::FAILURE;
-            };
-            let sites = match args.get(3).map(|s| s.parse::<usize>()) {
-                Some(Ok(s)) => s,
-                None => 4,
-                Some(Err(_)) => {
-                    eprintln!("{USAGE}");
-                    return ExitCode::FAILURE;
-                }
+            let Some((seed_a, seed_b, sites)) = mode_args(4) else {
+                return usage();
             };
             let (_, left) = run_fleet_rollout(sites, seed_a, FleetScenario::Clean);
             let (_, right) = run_fleet_rollout(sites, seed_b, FleetScenario::Clean);
-            let left = truncated(&left, max_events);
-            let right = truncated(&right, max_events);
-            dump(&left);
-            compare(
-                &format!("fleet seed {seed_a}"),
+            finish(
+                format!("fleet seed {seed_a}"),
                 &left,
-                &format!("fleet seed {seed_b}"),
+                format!("fleet seed {seed_b}"),
                 &right,
             )
         }
         Some("--fleet-scale") => {
-            let Some((seed_a, seed_b)) = parse_seeds(&args) else {
-                eprintln!("{USAGE}");
-                return ExitCode::FAILURE;
-            };
-            let sites = match args.get(3).map(|s| s.parse::<usize>()) {
-                Some(Ok(s)) => s,
-                None => 4_096,
-                Some(Err(_)) => {
-                    eprintln!("{USAGE}");
-                    return ExitCode::FAILURE;
-                }
+            let Some((seed_a, seed_b, sites)) = mode_args(4_096) else {
+                return usage();
             };
             // Left runs the shadow shards on the parallel sweep pool,
             // right runs them sequentially: equal seeds assert the
             // order-preserving merge, different seeds probe divergence.
             let (_, left_fleet) = run_fleet_scale_point(sites, seed_a, FleetScenario::Clean, false);
             let (_, right_fleet) = run_fleet_scale_point(sites, seed_b, FleetScenario::Clean, true);
-            let left = truncated(&left_fleet.export_trace_jsonl(), max_events);
-            let right = truncated(&right_fleet.export_trace_jsonl(), max_events);
-            dump(&left);
-            compare(
-                &format!("parallel shards seed {seed_a}"),
-                &left,
-                &format!("sequential shards seed {seed_b}"),
-                &right,
+            finish(
+                format!("parallel shards seed {seed_a}"),
+                &left_fleet.export_trace_jsonl(),
+                format!("sequential shards seed {seed_b}"),
+                &right_fleet.export_trace_jsonl(),
             )
         }
         Some("--ops") => {
-            let Some((seed_a, seed_b)) = parse_seeds(&args) else {
-                eprintln!("{USAGE}");
-                return ExitCode::FAILURE;
-            };
-            let incidents = match args.get(3).map(|s| s.parse::<usize>()) {
-                Some(Ok(n)) => n,
-                None => 500,
-                Some(Err(_)) => {
-                    eprintln!("{USAGE}");
-                    return ExitCode::FAILURE;
-                }
+            let Some((seed_a, seed_b, incidents)) = mode_args(500) else {
+                return usage();
             };
             let (left_engine, left) = run_ops_load(incidents, seed_a);
             let (_, right) = run_ops_load(incidents, seed_b);
@@ -321,28 +285,16 @@ fn main() -> ExitCode {
                  ({} runs)",
                 left_engine.store().len()
             );
-            let left = truncated(&left, max_events);
-            let right = truncated(&right, max_events);
-            dump(&left);
-            compare(
-                &format!("ops seed {seed_a}"),
+            finish(
+                format!("ops seed {seed_a}"),
                 &left,
-                &format!("ops seed {seed_b}"),
+                format!("ops seed {seed_b}"),
                 &right,
             )
         }
         Some("--episodes") => {
-            let Some((seed_a, seed_b)) = parse_seeds(&args) else {
-                eprintln!("{USAGE}");
-                return ExitCode::FAILURE;
-            };
-            let secs = match args.get(3).map(|s| s.parse::<u64>()) {
-                Some(Ok(s)) => s,
-                None => 240,
-                Some(Err(_)) => {
-                    eprintln!("{USAGE}");
-                    return ExitCode::FAILURE;
-                }
+            let Some((seed_a, seed_b, secs)) = mode_args(240) else {
+                return usage();
             };
             use silvasec::experiments::EpisodeSpec;
             let spec_for = |seed: u64| {
@@ -350,7 +302,7 @@ fn main() -> ExitCode {
                     SecurityPosture::secure(),
                     Some(AttackKind::RfJamming),
                     seed,
-                    SimDuration::from_secs(secs),
+                    SimDuration::from_secs(secs as u64),
                 )
             };
 
@@ -372,28 +324,16 @@ fn main() -> ExitCode {
             right_spec.arm(&mut fresh);
             fresh.run(right_spec.duration);
 
-            let left = truncated(&pooled.export_security_jsonl(), max_events);
-            let right = truncated(&fresh.export_security_jsonl(), max_events);
-            dump(&left);
-            compare(
-                &format!("pooled-reset seed {seed_a}"),
-                &left,
-                &format!("fresh-build seed {seed_b}"),
-                &right,
+            finish(
+                format!("pooled-reset seed {seed_a}"),
+                &pooled.export_security_jsonl(),
+                format!("fresh-build seed {seed_b}"),
+                &fresh.export_security_jsonl(),
             )
         }
         Some("--tara") => {
-            let Some((seed_a, seed_b)) = parse_seeds(&args) else {
-                eprintln!("{USAGE}");
-                return ExitCode::FAILURE;
-            };
-            let sites = match args.get(3).map(|s| s.parse::<usize>()) {
-                Some(Ok(s)) => s,
-                None => 4,
-                Some(Err(_)) => {
-                    eprintln!("{USAGE}");
-                    return ExitCode::FAILURE;
-                }
+            let Some((seed_a, seed_b, sites)) = mode_args(4) else {
+                return usage();
             };
             let left_fleet = run_tara_hypotheses(sites, seed_a);
             let right_fleet = run_tara_hypotheses(sites, seed_b);
@@ -420,14 +360,11 @@ fn main() -> ExitCode {
                 "replay: hypothesis set rebuilt from the recorded trace is identical to the \
                  live set ({open} open, {confirmed} confirmed, {retired} retired)"
             );
-            let left = truncated(&left, max_events);
-            let right = truncated(&right_fleet.export_trace_jsonl(), max_events);
-            dump(&left);
-            compare(
-                &format!("tara seed {seed_a}"),
+            finish(
+                format!("tara seed {seed_a}"),
                 &left,
-                &format!("tara seed {seed_b}"),
-                &right,
+                format!("tara seed {seed_b}"),
+                &right_fleet.export_trace_jsonl(),
             )
         }
         Some(left_path) if args.len() == 2 => {
@@ -440,9 +377,6 @@ fn main() -> ExitCode {
                 }
             }
         }
-        _ => {
-            eprintln!("{USAGE}");
-            ExitCode::FAILURE
-        }
+        _ => usage(),
     }
 }

@@ -13,24 +13,12 @@ use silvasec::experiments::standard_config;
 use silvasec::prelude::*;
 use silvasec_channel::{HandshakePolicy, Identity, Initiator, Responder, Session};
 use silvasec_crypto::schnorr::SigningKey;
+use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-/// Run-identity keys for a `BENCH_*.json` trajectory entry, read from
-/// the environment so no wall clock ever leaks into the simulation:
-/// `SILVASEC_GIT_SHA` (falling back to `git rev-parse HEAD`, then
-/// `unknown`) and `SILVASEC_RUN_TS` (default `unspecified`).
-#[must_use]
-pub fn run_keys() -> (String, String) {
-    let sha = std::env::var("SILVASEC_GIT_SHA")
-        .ok()
-        .or_else(git_head_sha)
-        .unwrap_or_else(|| "unknown".into());
-    (
-        sha,
-        std::env::var("SILVASEC_RUN_TS").unwrap_or_else(|_| "unspecified".into()),
-    )
-}
+/// Schema tag of every `BENCH_*.json` trajectory file.
+pub const TRAJECTORY_SCHEMA: &str = "silvasec-bench-trajectory/2";
 
 /// Best-effort `git rev-parse HEAD` of the workspace checkout; `None`
 /// when git is unavailable or the output is not a commit hash.
@@ -51,43 +39,240 @@ fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-/// Loads the `runs` array of an existing trajectory file. Missing files
-/// start a fresh trajectory; unparseable ones are reported and start
-/// fresh too.
-fn existing_trajectory_runs(path: &Path) -> Vec<Value> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let Ok(value) = serde_json::parse(&text) else {
-        eprintln!(
-            "warning: {} is not valid JSON; starting a fresh trajectory",
-            path.display()
-        );
-        return Vec::new();
-    };
-    value
-        .get_field("runs")
-        .as_array()
-        .map_or_else(Vec::new, <[Value]>::to_vec)
+/// The identity keys that open every trajectory run.
+#[derive(Serialize)]
+struct RunHeader {
+    bin: String,
+    git_sha: String,
+    run_ts: String,
+    host: Host,
 }
 
-/// Appends one run entry to the trajectory `file` (a `BENCH_*.json` at
-/// the workspace root) under the given trajectory `schema` and returns
-/// the resulting run count. Every `BENCH_*.json` writer goes through
-/// here so the trajectory format stays uniform across binaries.
-pub fn append_trajectory_run<T: Serialize>(file: &str, schema: &str, entry: &T) -> usize {
-    let path = workspace_root().join(file);
-    let mut runs = existing_trajectory_runs(&path);
-    runs.push(entry.serialize());
+/// The host a run was measured on, with the keys and string values of
+/// the `silvabench` report's host block; the compiler and `target-cpu`
+/// are captured by `build.rs`.
+#[derive(Serialize)]
+struct Host {
+    cpu_model: String,
+    nproc: String,
+    rustc: String,
+    target_cpu: String,
+}
+
+/// Appends one run of binary `bin` to the trajectory `file` (a
+/// `BENCH_*.json` at the workspace root) and returns the resulting run
+/// count. Every `BENCH_*.json` writer goes through here, so every file
+/// has one schema, [`TRAJECTORY_SCHEMA`], and every run starts with the
+/// same four keys ahead of the binary's own fields:
+///
+/// * `bin` — the binary that measured the run;
+/// * `git_sha` — `SILVASEC_GIT_SHA`, else `git rev-parse HEAD`, else
+///   `unknown`;
+/// * `run_ts` — `SILVASEC_RUN_TS`, else `unspecified` (no wall clock is
+///   read);
+/// * `host` — `cpu_model`, `nproc`, `rustc` and `target_cpu`, so
+///   absolute rates are compared only between runs of one host.
+pub fn append_trajectory_run<T: Serialize>(file: &str, bin: &str, entry: &T) -> usize {
+    append_trajectory_run_at(&workspace_root().join(file), bin, entry)
+}
+
+/// [`append_trajectory_run`] on an explicit path. A missing file starts
+/// a fresh trajectory; an unparseable one is reported and started fresh.
+fn append_trajectory_run_at<T: Serialize>(path: &Path, bin: &str, entry: &T) -> usize {
+    let mut runs = match std::fs::read_to_string(path).map(|text| serde_json::parse(&text)) {
+        Ok(Ok(doc)) => doc
+            .get_field("runs")
+            .as_array()
+            .map_or_else(Vec::new, <[Value]>::to_vec),
+        Ok(Err(_)) => {
+            eprintln!(
+                "warning: {} is not valid JSON; starting a fresh trajectory",
+                path.display()
+            );
+            Vec::new()
+        }
+        Err(_) => Vec::new(),
+    };
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo").ok().and_then(|s| {
+        s.lines()
+            .find_map(|l| l.strip_prefix("model name"))
+            .map(|l| l.trim_start_matches([' ', '\t', ':']).trim().to_string())
+    });
+    let header = RunHeader {
+        bin: bin.into(),
+        git_sha: std::env::var("SILVASEC_GIT_SHA")
+            .ok()
+            .or_else(git_head_sha)
+            .unwrap_or_else(|| "unknown".into()),
+        run_ts: std::env::var("SILVASEC_RUN_TS").unwrap_or_else(|_| "unspecified".into()),
+        host: Host {
+            cpu_model: cpu_model.unwrap_or_else(|| "unknown".into()),
+            nproc: std::thread::available_parallelism()
+                .map_or(0, std::num::NonZero::get)
+                .to_string(),
+            rustc: env!("SILVASEC_BENCH_RUSTC").into(),
+            target_cpu: env!("SILVASEC_BENCH_TARGET_CPU").into(),
+        },
+    };
+    let (Value::Object(mut run), Value::Object(fields)) = (header.serialize(), entry.serialize())
+    else {
+        panic!("a trajectory entry must serialize to a JSON object");
+    };
+    run.extend(fields);
+    runs.push(Value::Object(run));
     let run_count = runs.len();
     let trajectory = Value::Object(vec![
-        ("schema".to_string(), Value::String(schema.to_string())),
-        ("runs".to_string(), Value::Array(runs)),
+        ("schema".into(), Value::String(TRAJECTORY_SCHEMA.into())),
+        ("runs".into(), Value::Array(runs)),
     ]);
     let text = serde_json::to_string_pretty(&trajectory).expect("trajectory serializes");
-    std::fs::write(&path, text).expect("write trajectory file");
+    std::fs::write(path, text).expect("write trajectory file");
     eprintln!("appended run ({run_count} total) to {}", path.display());
     run_count
+}
+
+/// `len` deterministic pseudo-random bytes (xorshift64*, little-endian
+/// words), so every run times and cross-checks the same inputs.
+#[must_use]
+pub fn xorshift_bytes(seed: u64, len: usize) -> Vec<u8> {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut out = Vec::with_capacity(len);
+    while out.len() < len {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        let word = state.wrapping_mul(0x2545_F491_4F6C_DD1D).to_le_bytes();
+        out.extend_from_slice(&word[..word.len().min(len - out.len())]);
+    }
+    out
+}
+
+/// Lower-case hex of `bytes` (digests in trajectory entries).
+#[must_use]
+pub fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Per-round wall-clock totals of the two arms of [`paired_rounds`], in
+/// seconds, in round order.
+#[derive(Debug, Clone)]
+pub struct PairedRounds {
+    /// Fast-arm total of each round.
+    pub fast: Vec<f64>,
+    /// Reference-arm total of each round.
+    pub reference: Vec<f64>,
+}
+
+impl PairedRounds {
+    /// Median of the per-round `reference / fast` ratios.
+    #[must_use]
+    pub fn median_ratio(&self) -> f64 {
+        let ratios: Vec<f64> = self
+            .fast
+            .iter()
+            .zip(&self.reference)
+            .map(|(f, r)| r / f.max(1e-12))
+            .collect();
+        median(&ratios)
+    }
+
+    /// Reference-arm median over fast-arm median.
+    #[must_use]
+    pub fn ratio_of_medians(&self) -> f64 {
+        median(&self.reference) / median(&self.fast).max(1e-12)
+    }
+
+    /// Best-of-rounds throughput of each arm, calls per second, for
+    /// `units` calls per round: `(fast, reference)`.
+    #[must_use]
+    pub fn best_rates(&self, units: usize) -> (f64, f64) {
+        let best = |arm: &[f64]| arm.iter().copied().fold(f64::INFINITY, f64::min).max(1e-12);
+        (
+            units as f64 / best(&self.fast),
+            units as f64 / best(&self.reference),
+        )
+    }
+}
+
+/// Seconds per call of `f`, best of `rounds` rounds of `units` calls:
+/// the single-arm form of [`paired_rounds`].
+pub fn best_per_call_s<T>(rounds: usize, units: usize, f: impl FnMut(usize) -> T) -> f64 {
+    1.0 / paired_rounds(rounds, units, f, |_| ()).best_rates(units).0
+}
+
+/// The one timing harness of the bench binaries: times a fast arm
+/// against a reference arm, interleaved unit by unit.
+///
+/// One untimed warm-up pair (`fast(0)`, `reference(0)`) runs first, to
+/// page in code and allocator state. Then each of `rounds` rounds calls
+/// `fast(i)` and `reference(i)` alternately for `i` in `0..units`,
+/// timing every call on its own, so each fast call runs within
+/// microseconds of the reference call it is compared against: on a
+/// shared host the absolute speed can swing by tens of percent over
+/// tens of milliseconds, and timing the arms in separate blocks would
+/// compare a throttled window against an unthrottled one. Values the
+/// arms return are dropped outside the timed window.
+pub fn paired_rounds<T, U>(
+    rounds: usize,
+    units: usize,
+    mut fast: impl FnMut(usize) -> T,
+    mut reference: impl FnMut(usize) -> U,
+) -> PairedRounds {
+    black_box(fast(0));
+    black_box(reference(0));
+    let mut out = PairedRounds {
+        fast: Vec::with_capacity(rounds),
+        reference: Vec::with_capacity(rounds),
+    };
+    for _ in 0..rounds {
+        let (mut fast_s, mut reference_s) = (0.0, 0.0);
+        for i in 0..units {
+            let t0 = Instant::now();
+            let kept = black_box(fast(i));
+            fast_s += t0.elapsed().as_secs_f64();
+            drop(kept);
+            let t0 = Instant::now();
+            let kept = black_box(reference(i));
+            reference_s += t0.elapsed().as_secs_f64();
+            drop(kept);
+        }
+        out.fast.push(fast_s);
+        out.reference.push(reference_s);
+    }
+    out
+}
+
+/// [`paired_rounds`] over whole worksite runs, one unit per round: each
+/// call gets a fresh `Worksite::new(config, seed)` of its arm, and every
+/// site (warm-up pair included) is built before the clock starts, so
+/// the rounds time the runs alone.
+pub fn paired_site_rounds(
+    rounds: usize,
+    fast: (&WorksiteConfig, impl Fn(&mut Worksite)),
+    reference: (&WorksiteConfig, impl Fn(&mut Worksite)),
+    seed: u64,
+) -> PairedRounds {
+    // Built alternately, so neither arm's sites sit in a region of the
+    // heap the other arm's do not share.
+    let (mut fast_sites, mut reference_sites): (Vec<_>, Vec<_>) = (0..=rounds)
+        .map(|_| {
+            (
+                Worksite::new(fast.0, seed),
+                Worksite::new(reference.0, seed),
+            )
+        })
+        .unzip();
+    let run = |sites: &mut Vec<Worksite>, body: &dyn Fn(&mut Worksite)| {
+        let mut site = sites.pop().expect("one site per call");
+        body(&mut site);
+        site
+    };
+    paired_rounds(
+        rounds,
+        1,
+        |_| run(&mut fast_sites, &fast.1),
+        |_| run(&mut reference_sites, &reference.1),
+    )
 }
 
 /// Builds a two-party PKI and an established session pair, for channel
@@ -185,37 +370,31 @@ pub struct RecorderOverhead {
 #[must_use]
 pub fn measure_recorder_overhead(seed: u64, sim_secs: u64, rounds: u32) -> RecorderOverhead {
     let rounds = rounds.max(1);
-    let run = |enabled: bool| {
+    let duration = SimDuration::from_secs(sim_secs);
+    let config = |enabled: bool| {
         let mut config = standard_config(SecurityPosture::secure());
         config.telemetry.enabled = enabled;
-        let mut site = Worksite::new(&config, seed);
-        let t = Instant::now();
-        site.run(SimDuration::from_secs(sim_secs));
-        (t.elapsed().as_secs_f64(), site)
+        config
     };
-    // Warm-up pair (untimed): page in code and allocator state.
-    let _ = run(true);
-    let _ = run(false);
-    let mut enabled_times = Vec::with_capacity(rounds as usize);
-    let mut disabled_times = Vec::with_capacity(rounds as usize);
-    let mut last_site = None;
-    for _ in 0..rounds {
-        let (t_on, site) = run(true);
-        enabled_times.push(t_on);
-        last_site = Some(site);
-        let (t_off, _) = run(false);
-        disabled_times.push(t_off);
-    }
-    let enabled_wall_s = median(&enabled_times);
-    let disabled_wall_s = median(&disabled_times);
-    let raw_overhead_frac = enabled_wall_s / disabled_wall_s.max(1e-9) - 1.0;
-    let spread = disabled_times
-        .iter()
-        .fold(f64::NEG_INFINITY, |a, &b| a.max(b))
-        - disabled_times.iter().fold(f64::INFINITY, |a, &b| a.min(b));
+    // The recorder-free arm is the "fast" one: the ratio of medians is
+    // then enabled / disabled.
+    let times = paired_site_rounds(
+        rounds as usize,
+        (&config(false), |site| site.run(duration)),
+        (&config(true), |site| site.run(duration)),
+        seed,
+    );
+    let disabled_wall_s = median(&times.fast);
+    let enabled_wall_s = median(&times.reference);
+    let raw_overhead_frac = times.ratio_of_medians() - 1.0;
+    let spread = times.fast.iter().copied().fold(f64::NEG_INFINITY, f64::max)
+        - times.fast.iter().copied().fold(f64::INFINITY, f64::min);
     let noise_floor_frac = spread / 2.0 / disabled_wall_s.max(1e-9);
 
-    let site = last_site.expect("at least one round");
+    // Episodes are deterministic: one more untimed enabled run records
+    // exactly what every timed one did.
+    let mut site = Worksite::new(&config(true), seed);
+    site.run(duration);
     let events = site.recorder().events_recorded();
     let jsonl = site.export_flight_jsonl();
     let lines = jsonl.lines().count();
@@ -284,6 +463,71 @@ mod tests {
             let next = peak_since(peak_baseline());
             region >= N && next < N
         }));
+    }
+
+    #[test]
+    fn paired_rounds_alternate_the_arms_after_one_warm_up_pair() {
+        let calls = std::cell::RefCell::new(Vec::new());
+        let times = paired_rounds(
+            3,
+            4,
+            |i| calls.borrow_mut().push(('f', i)),
+            |i| calls.borrow_mut().push(('r', i)),
+        );
+        // 1 warm-up pair, then 3 rounds x 4 units, strictly alternating.
+        let expected: Vec<_> = std::iter::once(0)
+            .chain((0..3).flat_map(|_| 0..4))
+            .flat_map(|i| [('f', i), ('r', i)])
+            .collect();
+        assert_eq!(calls.into_inner(), expected);
+        // The warm-up pair is not a round.
+        assert_eq!((times.fast.len(), times.reference.len()), (3, 3));
+    }
+
+    #[test]
+    fn trajectory_appends_keep_earlier_runs_under_one_schema() {
+        #[derive(Serialize)]
+        struct Entry {
+            value: usize,
+        }
+        let path = std::env::temp_dir().join(format!(
+            "silvasec-trajectory-test-{}.json",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        for (bin, value) in [("first", 1), ("second", 2)] {
+            assert_eq!(
+                append_trajectory_run_at(&path, bin, &Entry { value }),
+                value
+            );
+        }
+        let doc = serde_json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(
+            doc.get_field("schema"),
+            &Value::String(TRAJECTORY_SCHEMA.into())
+        );
+        let runs = doc.get_field("runs").as_array().unwrap();
+        assert_eq!(runs.len(), 2);
+        for (run, (bin, value)) in runs.iter().zip([("first", 1), ("second", 2)]) {
+            assert_eq!(run.get_field("bin"), &Value::String(bin.into()));
+            assert!(
+                matches!(run.get_field("value"), Value::Number(n) if n.as_u64() == Some(value))
+            );
+            for key in ["git_sha", "run_ts"] {
+                assert!(
+                    matches!(run.get_field(key), Value::String(_)),
+                    "{key} missing"
+                );
+            }
+            for key in ["cpu_model", "nproc", "rustc", "target_cpu"] {
+                assert_ne!(
+                    run.get_field("host").get_field(key),
+                    &Value::Null,
+                    "host.{key} missing"
+                );
+            }
+        }
     }
 
     #[test]

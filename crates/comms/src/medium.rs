@@ -91,14 +91,10 @@ pub struct Medium {
     channel_busy_ms: f64,
     rng: SimRng,
     recorder: Recorder,
-    /// When set, deliveries run through the frozen pre-optimization
-    /// propagation path (identical values and RNG draws, pre-PR cost) —
-    /// used by the benchmark's reference arm.
-    reference_physics: bool,
 }
 
 /// Per-transmission delivery accumulators shared between the unicast
-/// and broadcast arms of [`Medium::transmit_env`].
+/// and broadcast arms of [`Medium::transmit_env_reclaiming`].
 struct DeliveryState {
     any_delivered: bool,
     last_rssi: f64,
@@ -127,17 +123,7 @@ impl Medium {
             channel_busy_ms: 0.0,
             rng,
             recorder: Recorder::disabled(),
-            reference_physics: false,
         }
-    }
-
-    /// Selects the frozen pre-optimization propagation path for
-    /// subsequent deliveries. Observable behaviour (values, RNG stream)
-    /// is identical either way — only the per-delivery cost differs —
-    /// so benchmark reference arms can reproduce pre-optimization
-    /// timing without forking the medium.
-    pub fn set_reference_physics(&mut self, on: bool) {
-        self.reference_physics = on;
     }
 
     /// Attaches a telemetry recorder; the medium then emits
@@ -283,10 +269,14 @@ impl Medium {
         // `&mut self` without cloning a stand per call.
         static EMPTY_STAND: std::sync::OnceLock<TreeStand> = std::sync::OnceLock::new();
         let stand = EMPTY_STAND.get_or_init(|| TreeStand::from_trees(Vec::new(), 1.0));
-        self.transmit_env(stand, Weather::Clear, true_src, frame, now)
+        self.transmit_env_reclaiming(stand, Weather::Clear, true_src, frame, now)
+            .0
     }
 
     /// Transmits `frame` from `true_src` through the given environment.
+    /// When the frame ends up in no inbox (lost, or blocked by
+    /// association) its payload buffer is handed back so callers can
+    /// pool it instead of re-allocating.
     ///
     /// The `claimed_src` inside the frame is what receivers see; `true_src`
     /// determines the physics (transmitter position) and authenticity of
@@ -295,7 +285,27 @@ impl Medium {
     /// # Panics
     ///
     /// Panics if `true_src` or the frame's destination is unregistered.
-    pub fn transmit_env(
+    pub fn transmit_env_reclaiming(
+        &mut self,
+        stand: &TreeStand,
+        weather: Weather,
+        true_src: NodeId,
+        frame: Frame,
+        now: SimTime,
+    ) -> (TransmitOutcome, Option<Vec<u8>>) {
+        self.transmit_with::<false>(stand, weather, true_src, frame, now)
+    }
+
+    /// FROZEN pre-optimization transmit: the same outcome, stats,
+    /// telemetry and RNG stream as [`Medium::transmit_env_reclaiming`],
+    /// delivered through [`propagation::received_power_dbm_reference`]
+    /// so the frozen reference tick pays the pre-optimization
+    /// per-delivery cost. Do not optimize.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `true_src` or the frame's destination is unregistered.
+    pub fn transmit_env_reference(
         &mut self,
         stand: &TreeStand,
         weather: Weather,
@@ -303,19 +313,13 @@ impl Medium {
         frame: Frame,
         now: SimTime,
     ) -> TransmitOutcome {
-        self.transmit_env_reclaiming(stand, weather, true_src, frame, now)
+        self.transmit_with::<true>(stand, weather, true_src, frame, now)
             .0
     }
 
-    /// Like [`Medium::transmit_env`], but when the frame ends up in no
-    /// inbox (lost, or blocked by association) its payload buffer is
-    /// handed back so callers can pool it instead of re-allocating —
-    /// physics, stats, telemetry and RNG stream are untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `true_src` or the frame's destination is unregistered.
-    pub fn transmit_env_reclaiming(
+    /// The transmit body; `REFERENCE` selects the propagation path at
+    /// compile time.
+    fn transmit_with<const REFERENCE: bool>(
         &mut self,
         stand: &TreeStand,
         weather: Weather,
@@ -362,7 +366,7 @@ impl Medium {
         // collected-targets loop exactly.
         match frame.dst {
             Some(d) => {
-                self.attempt_delivery(
+                self.attempt_delivery::<REFERENCE>(
                     stand,
                     weather,
                     &frame,
@@ -379,7 +383,7 @@ impl Medium {
                     if dst == true_src {
                         continue;
                     }
-                    self.attempt_delivery(
+                    self.attempt_delivery::<REFERENCE>(
                         stand,
                         weather,
                         &frame,
@@ -424,7 +428,7 @@ impl Medium {
     /// packet-error draw, stats, management handling, deferred inbox
     /// delivery.
     #[allow(clippy::too_many_arguments)]
-    fn attempt_delivery(
+    fn attempt_delivery<const REFERENCE: bool>(
         &mut self,
         stand: &TreeStand,
         weather: Weather,
@@ -438,7 +442,7 @@ impl Medium {
         let now_ms = now.as_millis();
         let src_pos = self.nodes[true_src.0 as usize].position;
         let dst_pos = self.nodes[dst.0 as usize].position;
-        let rssi = if self.reference_physics {
+        let rssi = if REFERENCE {
             propagation::received_power_dbm_reference(
                 &self.config.propagation,
                 self.config.tx_power_dbm,

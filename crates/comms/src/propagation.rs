@@ -86,7 +86,7 @@ pub fn foliage_loss_db(config: &PropagationConfig, stand: &TreeStand, from: Vec3
 /// [`foliage_loss_db`], computed the way the pre-optimization code did —
 /// collecting the candidate trees into a per-call `Vec` via the
 /// full-rectangle grid scan. Used only by the benchmark's reference arm
-/// (see [`crate::Medium::set_reference_physics`]) so that arm pays the
+/// (see [`crate::Medium::transmit_env_reference`]) so that arm pays the
 /// pre-optimization per-delivery cost. Do not optimize.
 #[must_use]
 pub fn foliage_loss_db_reference(

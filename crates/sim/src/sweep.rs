@@ -83,7 +83,8 @@ pub fn worker_count(points: usize) -> usize {
 /// sequential `points.iter().map(f).collect()` would produce — bit for
 /// bit, for any worker count and any scheduling. Work is distributed by
 /// atomic work-stealing (each worker grabs the next unclaimed index), so
-/// uneven point costs balance automatically.
+/// uneven point costs balance automatically. This is
+/// [`par_sweep_scoped`] with no scratch.
 ///
 /// # Panics
 ///
@@ -94,10 +95,11 @@ where
     R: Send,
     F: Fn(&P) -> R + Sync,
 {
-    par_sweep_with_stats(points, f).0
+    par_sweep_scoped(points, || (), |(), p, _| f(p))
 }
 
-/// [`par_sweep`] variant that also reports [`SweepStats`].
+/// [`par_sweep`] variant that also times every point and reports
+/// [`SweepStats`].
 ///
 /// # Panics
 ///
@@ -110,61 +112,17 @@ where
 {
     let started = Instant::now();
     let workers = worker_count(points.len());
-
-    let mut slots: Vec<Option<(R, f64)>> = Vec::with_capacity(points.len());
-    slots.resize_with(points.len(), || None);
-
-    if workers <= 1 {
-        for (slot, point) in slots.iter_mut().zip(points) {
+    let timed = par_sweep_scoped_workers(
+        points,
+        workers,
+        || (),
+        |(), p, _| {
             let t0 = Instant::now();
-            let r = f(point);
-            *slot = Some((r, t0.elapsed().as_secs_f64()));
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let f = &f;
-        let next = &next;
-        // Each worker claims indices off the shared counter and returns
-        // its locally collected (index, result, seconds) triples through
-        // its join handle; the scatter below restores input order.
-        let gathered: Vec<Vec<(usize, R, f64)>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(move |_| {
-                        let mut local = Vec::new();
-                        loop {
-                            let idx = next.fetch_add(1, Ordering::Relaxed);
-                            if idx >= points.len() {
-                                break;
-                            }
-                            let t0 = Instant::now();
-                            let r = f(&points[idx]);
-                            local.push((idx, r, t0.elapsed().as_secs_f64()));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sweep worker panicked"))
-                .collect()
-        })
-        .expect("sweep scope panicked");
-
-        for (idx, r, secs) in gathered.into_iter().flatten() {
-            slots[idx] = Some((r, secs));
-        }
-    }
-
-    let mut results = Vec::with_capacity(points.len());
-    let mut point_wall_s = Vec::with_capacity(points.len());
-    for slot in slots {
-        let (r, secs) = slot.expect("every sweep index is claimed exactly once");
-        results.push(r);
-        point_wall_s.push(secs);
-    }
-
+            let r = f(p);
+            (r, t0.elapsed().as_secs_f64())
+        },
+    );
+    let (results, point_wall_s) = timed.into_iter().unzip();
     let stats = SweepStats {
         workers,
         points: points.len(),

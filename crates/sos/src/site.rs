@@ -703,7 +703,6 @@ impl Worksite {
 
     /// Runs the simulation for `duration`.
     pub fn run(&mut self, duration: SimDuration) {
-        self.medium.set_reference_physics(false);
         let end = self.world.now() + duration;
         while self.world.now() < end {
             self.tick();
@@ -712,17 +711,15 @@ impl Worksite {
 
     /// Runs the simulation for `duration` through the frozen
     /// pre-optimization tick body ([`Worksite::tick_reference`]) — the
-    /// parity oracle and the bench's "old" timing arm. Also selects the
-    /// frozen pre-optimization radio propagation path (identical values
-    /// and RNG draws, pre-optimization cost) so the arm's timing
-    /// reflects the pre-optimization worksite end to end.
+    /// parity oracle and the bench's "old" timing arm. Its radio
+    /// transmissions go through [`Medium::transmit_env_reference`]
+    /// (identical values and RNG draws, pre-optimization cost), so the
+    /// arm's timing reflects the pre-optimization worksite end to end.
     pub fn run_reference(&mut self, duration: SimDuration) {
-        self.medium.set_reference_physics(true);
         let end = self.world.now() + duration;
         while self.world.now() < end {
             self.tick_reference();
         }
-        self.medium.set_reference_physics(false);
     }
 
     /// Executes one simulation tick.
@@ -1151,7 +1148,7 @@ impl Worksite {
         let weather = self.world.weather();
         let _ = self
             .medium
-            .transmit_env(&env_stand, weather, node_drone, frame, now);
+            .transmit_env_reference(&env_stand, weather, node_drone, frame, now);
 
         // Forwarder drains its inbox and decodes the feed.
         for rx in self.medium.drain_inbox(self.node_fw) {
@@ -1291,7 +1288,7 @@ impl Worksite {
         let weather = self.world.weather();
         let _ = self
             .medium
-            .transmit_env(&env_stand, weather, self.node_fw, frame, now);
+            .transmit_env_reference(&env_stand, weather, self.node_fw, frame, now);
 
         for rx in self.medium.drain_inbox(self.node_bs) {
             if let Some(links) = &mut self.links {
